@@ -35,7 +35,7 @@ namespace fastjoin::bench {
 namespace {
 
 /// Disjoint-keyspace per-producer traces (same construction as
-/// live_throughput): the expected result set is independent of the
+/// live_scaling): the expected result set is independent of the
 /// producer interleaving, so every mode must agree exactly.
 std::vector<std::vector<Record>> make_traces(int n_producers,
                                              std::uint64_t total,
@@ -94,16 +94,15 @@ struct RunResult {
   double mean_recovery_ms = 0.0;
 };
 
-/// One laned-plane run over `traces`. `crash_every` > 0 injects a
-/// worker crash (alternating sides, round-robin instance) after every
-/// that many pushed records on producer 0.
+/// One run over `traces`. `crash_every` > 0 injects a worker crash
+/// (alternating sides, round-robin instance) after every that many
+/// pushed records on producer 0.
 RunResult run_once(LogMode mode, std::uint32_t instances,
                    const std::vector<std::vector<Record>>& traces,
                    std::uint64_t crash_every, const std::string& dir) {
   LiveConfig cfg;
   cfg.instances = instances;
   cfg.balancer = false;  // exact cross-mode comparison: no migrations
-  cfg.data_plane = DataPlane::kLaned;
   if (crash_every > 0) {
     cfg.monitor_period = std::chrono::milliseconds(2);
     cfg.checkpoint_period = std::chrono::milliseconds(10);

@@ -41,7 +41,7 @@ namespace fastjoin::bench {
 namespace {
 
 /// Disjoint-keyspace per-producer traces, same construction as
-/// live_throughput so the two benches measure the same data plane.
+/// live_scaling so the two benches measure the same data plane.
 std::vector<std::vector<Record>> make_traces(int n_producers,
                                              std::uint64_t total,
                                              int keys_per_producer,
@@ -72,13 +72,12 @@ std::vector<std::vector<Record>> make_traces(int n_producers,
   return traces;
 }
 
-/// One multi-producer laned run; returns records/s over push + drain.
+/// One multi-producer run; returns records/s over push + drain.
 double run_round(const std::vector<std::vector<Record>>& traces,
                  std::uint32_t instances) {
   LiveConfig cfg;
   cfg.instances = instances;
   cfg.balancer = true;
-  cfg.data_plane = DataPlane::kLaned;
   LiveEngine engine(cfg);
   engine.start();
 
@@ -131,7 +130,6 @@ std::string run_chaos_leg(std::uint64_t records) {
   LiveConfig cfg;
   cfg.instances = 4;
   cfg.balancer = true;
-  cfg.data_plane = DataPlane::kLaned;
   cfg.monitor_period = std::chrono::milliseconds(10);
   cfg.min_heaviest_load = 50.0;  // migrate eagerly on the skewed feed
   cfg.checkpoint_period = std::chrono::milliseconds(30);

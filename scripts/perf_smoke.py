@@ -2,23 +2,33 @@
 """Perf-smoke gate: compare a fresh BENCH_live_scaling.json against the
 committed baseline.
 
-The gated quantity is the per-cell laned/locked *speedup ratio*, not
-absolute throughput: shared CI runners disagree wildly on rec/s but
-agree on whether the lock-free plane still beats the locked one on the
-same box in the same run. A multi-producer cell whose ratio drops below
-``tolerance`` x its committed value (default 0.9) fails the gate — that
-is the exact shape of the regression PR 7 fixed (multi-producer laned
-slower than locked), caught before it lands instead of three PRs later.
+The gated quantity is the per-cell *speedup ratio* of the live laned
+data plane over the bare join kernel (one JoinStore per side, insert +
+probe_count in stream order, one copy per core) on the same feed, not
+absolute throughput: machines disagree far more on rec/s than on the
+ratio of two legs measured in the same run. A cell's ratio is the median
+over rounds of each round's laned/kernel ratio. The kernel runs none of
+the data plane, so it cannot move with it. A multi-producer cell whose
+ratio drops below ``tolerance`` x its committed value (default 0.9)
+fails the gate — the shape of a data-plane regression such as
+multi-producer pushes starving the workers.
 
-Single-producer cells are reported but not gated: with one producer the
-two planes are within noise of each other by design, and gating a
-ratio of ~1.0 on shared runners is a flake generator.
+Both legs run on every core, but the laned leg does not scale with the
+core count the way independent kernel copies do, so runs on different
+core counts are not comparable. The gate fails when the two files
+disagree on ``cores``: record the baseline on the runner class that
+gates against it.
+
+Single-producer cells are reported but not gated: on shared runners
+every gated cell adds a chance of a spurious failure, and the
+multi-producer cells are where data-plane regressions have shown.
 
 Usage:
     scripts/perf_smoke.py --baseline <committed.json> --current <fresh.json>
                           [--tolerance 0.9]
 
-Exit codes: 0 clean, 1 regression or result mismatch, 2 usage/IO error.
+Exit codes: 0 clean, 1 regression, result mismatch or core-count
+mismatch, 2 usage/IO error.
 """
 
 import argparse
@@ -53,9 +63,17 @@ def main():
     base = load(args.baseline)
     cur = load(args.current)
 
+    if base.get("cores") != cur.get("cores"):
+        print(f"perf_smoke: baseline was recorded on {base.get('cores')} "
+              f"cores, the current run on {cur.get('cores')}; the "
+              f"laned/kernel ratio depends on the core count, so the two "
+              f"are not comparable. Re-record the baseline on this "
+              f"runner class.", file=sys.stderr)
+        return 1
+
     failures = []
     if not cur.get("results_identical", False):
-        failures.append("current run: locked and laned results DIFFER "
+        failures.append("current run: kernel and laned results DIFFER "
                         "(exactness broken, numbers are meaningless)")
 
     base_cells = {cell_key(c): c for c in base.get("cells", [])}

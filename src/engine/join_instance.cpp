@@ -81,36 +81,12 @@ void JoinInstance::start_service(Pending item) {
   // the probe is in service), emit results at completion. Pairs are
   // buffered and reported at completion too, so a crash mid-service
   // drops the pair records and the result count together.
-  std::uint64_t matches = 0;
   std::vector<MatchPair> pairs;
-  if (const auto* bucket = store_.find(rec.key)) {
-    if (hooks_.on_match) {
-      // Pair-recording mode (tests): walk the whole bucket.
-      for (const auto& st : *bucket) {
-        if (precedes(st.ts, store_side_, st.seq, rec.ts, rec.side,
-                     rec.seq)) {
-          ++matches;
-          MatchPair p;
-          p.key = rec.key;
-          p.r_seq = store_side_ == Side::kR ? st.seq : rec.seq;
-          p.s_seq = store_side_ == Side::kR ? rec.seq : st.seq;
-          pairs.push_back(p);
-        }
-      }
-    } else {
-      // Fast path: the bucket is in arrival order, hence timestamp
-      // ordered, so the tuples NOT preceding the probe form a suffix.
-      // Exact count in O(1 + suffix length), independent of matches.
-      matches = bucket->size();
-      for (auto it = bucket->rbegin(); it != bucket->rend(); ++it) {
-        if (precedes(it->ts, store_side_, it->seq, rec.ts, rec.side,
-                     rec.seq)) {
-          break;
-        }
-        --matches;
-      }
-    }
-  }
+  const std::uint64_t matches =
+      hooks_.on_match
+          ? store_.probe_each(
+                rec, [&pairs](const MatchPair& p) { pairs.push_back(p); })
+          : store_.probe_count(rec);
   const SimTime service = cost_.probe_time(store_.size(), matches);
   busy_time_ += service;
   sim_.schedule_after(service, [this, item, matches, epoch = epoch_,

@@ -1,5 +1,6 @@
 #include "engine/join_store.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace fastjoin {
@@ -19,6 +20,30 @@ void JoinStore::insert(KeyId key, StoredTuple tuple) {
 const JoinStore::Bucket* JoinStore::find(KeyId key) const {
   const auto it = by_key_.find(key);
   return it == by_key_.end() ? nullptr : &it->second;
+}
+
+// FASTJOIN_HOT_PATH_BEGIN
+std::uint64_t JoinStore::probe_count(const Record& probe) const {
+  const Bucket* bucket = find(probe.key);
+  if (bucket == nullptr) return 0;
+  const Side stored = other_side(probe.side);
+  std::uint64_t matches = bucket->size();
+  for (auto it = bucket->rbegin(); it != bucket->rend(); ++it) {
+    if (precedes(it->ts, stored, it->seq, probe.ts, probe.side,
+                 probe.seq)) {
+      break;
+    }
+    --matches;
+  }
+  return matches;
+}
+// FASTJOIN_HOT_PATH_END
+
+bool JoinStore::contains(KeyId key, std::uint64_t seq) const {
+  const Bucket* bucket = find(key);
+  return bucket != nullptr &&
+         std::any_of(bucket->begin(), bucket->end(),
+                     [seq](const StoredTuple& st) { return st.seq == seq; });
 }
 
 std::uint64_t JoinStore::count_for(KeyId key) const {

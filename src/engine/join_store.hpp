@@ -1,9 +1,15 @@
-// Per-instance tuple storage with optional sliding-window eviction.
+// Per-instance tuple storage with optional sliding-window eviction,
+// and the one join kernel every engine runs against it.
 //
 // Tuples are grouped by key; within a key they are kept in arrival
 // order, so window eviction can pop prefixes. The window is a ring of
 // sub-windows (paper Section III-E): advancing past `max_subwindows`
 // evicts the oldest sub-window in one sweep.
+//
+// A store holds one side of the biclique and is probed only by records
+// of the other side. A probe joins exactly the stored tuples of its key
+// that precede it (`precedes`, engine/tuple.hpp): the paper's
+// completeness rule.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +47,41 @@ class JoinStore {
 
   /// Stored tuples for `key`, oldest first; nullptr when absent.
   const Bucket* find(KeyId key) const;
+
+  // FASTJOIN_HOT_PATH_BEGIN
+  /// Number of stored tuples that precede `probe`, a record of the
+  /// side opposite to this store. Precondition: the probe's bucket is
+  /// in `precedes` order, which per-key FIFO delivery in stream order
+  /// (every engine's exactness contract) guarantees. The tuples that
+  /// do not precede the probe then form a suffix, so the count costs
+  /// O(1 + suffix length), independent of the number of matches.
+  std::uint64_t probe_count(const Record& probe) const;
+
+  /// Walk the probe's whole bucket, call `on_pair(const MatchPair&)`
+  /// (oriented r_seq/s_seq) for every stored tuple that precedes
+  /// `probe`, and return the match count. No ordering precondition.
+  template <typename Fn>
+  std::uint64_t probe_each(const Record& probe, Fn&& on_pair) const {
+    const Bucket* bucket = find(probe.key);
+    if (bucket == nullptr) return 0;
+    const Side stored = other_side(probe.side);
+    std::uint64_t matches = 0;
+    for (const StoredTuple& st : *bucket) {
+      if (!precedes(st.ts, stored, st.seq, probe.ts, probe.side,
+                    probe.seq)) {
+        continue;
+      }
+      ++matches;
+      on_pair(stored == Side::kR ? MatchPair{probe.key, st.seq, probe.seq}
+                                 : MatchPair{probe.key, probe.seq, st.seq});
+    }
+    return matches;
+  }
+  // FASTJOIN_HOT_PATH_END
+
+  /// Does `key`'s bucket hold a tuple with sequence number `seq`? The
+  /// dedup test for re-merged tuples (migration batches, replays).
+  bool contains(KeyId key, std::uint64_t seq) const;
 
   /// Total stored tuples: the paper's |R_i|.
   std::uint64_t size() const { return size_; }

@@ -51,32 +51,8 @@ void MatrixJoinEngine::maybe_start(std::uint32_t cell_idx) {
   JoinStore& own = rec.side == Side::kR ? cell.r_store : cell.s_store;
   JoinStore& other = rec.side == Side::kR ? cell.s_store : cell.r_store;
 
-  std::uint64_t matches = 0;
-  if (const auto* bucket = other.find(rec.key)) {
-    const Side stored_side = other_side(rec.side);
-    if (on_match_) {
-      for (const auto& st : *bucket) {
-        if (precedes(st.ts, stored_side, st.seq, rec.ts, rec.side,
-                     rec.seq)) {
-          ++matches;
-          MatchPair p;
-          p.key = rec.key;
-          p.r_seq = rec.side == Side::kR ? rec.seq : st.seq;
-          p.s_seq = rec.side == Side::kR ? st.seq : rec.seq;
-          on_match_(p);
-        }
-      }
-    } else {
-      matches = bucket->size();
-      for (auto it = bucket->rbegin(); it != bucket->rend(); ++it) {
-        if (precedes(it->ts, stored_side, it->seq, rec.ts, rec.side,
-                     rec.seq)) {
-          break;
-        }
-        --matches;
-      }
-    }
-  }
+  const std::uint64_t matches =
+      on_match_ ? other.probe_each(rec, on_match_) : other.probe_count(rec);
 
   const SimTime service = cfg_.cost.store_time() +
                           cfg_.cost.probe_time(other.size(), matches);

@@ -76,6 +76,10 @@ constexpr std::chrono::steady_clock::time_point kUnsampled{};
 /// the ring index update, small enough to keep control latency bounded.
 constexpr std::size_t kDrainBatch = 128;
 
+/// Longest the monitor sleeps between checks of `stopping_`, so
+/// finish() never waits out a whole monitor period.
+constexpr std::chrono::milliseconds kMonitorSlice{1};
+
 /// Backstop for a parked worker's doorbell wait. Wake-ups are
 /// event-driven (every producer push, control send, crash, and shutdown
 /// rings the bell), so this only bounds the blast radius of a missed
@@ -119,7 +123,7 @@ class LiveEngine::Worker {
 
   Worker(const LiveEngine& engine, InstanceId id, Side store_side,
          std::size_t queue_capacity, std::uint32_t max_subwindows,
-         LaneSet* lanes, std::uint32_t ingest_partitions)
+         LaneSet& lanes, std::uint32_t ingest_partitions)
       : engine_(engine),
         id_(id),
         store_side_(store_side),
@@ -142,9 +146,9 @@ class LiveEngine::Worker {
 
   void stop_and_join() {
     queue_.close();
-    // Wake a parked laned worker so it sees closed-and-empty now
-    // rather than at the park backstop.
-    if (lanes_ != nullptr) LiveEngine::ring_doorbell(*lanes_);
+    // Wake a parked worker so it sees closed-and-empty now rather than
+    // at the park backstop.
+    LiveEngine::ring_doorbell(lanes_);
     if (thread_.joinable()) thread_.join();
   }
 
@@ -152,8 +156,8 @@ class LiveEngine::Worker {
     const bool ok =
         queue_.push(Envelope{std::move(msg), std::move(barrier)});
     // Control messages ride a different channel than the doorbell's
-    // lanes; a parked laned worker must still wake for them.
-    if (ok && lanes_ != nullptr) LiveEngine::ring_doorbell(*lanes_);
+    // lanes; a parked worker must still wake for them.
+    if (ok) LiveEngine::ring_doorbell(lanes_);
     return ok;
   }
 
@@ -163,7 +167,7 @@ class LiveEngine::Worker {
     crashed_at_ = std::chrono::steady_clock::now();  // fastjoin-lint: allow(protocol-clock) recovery-time telemetry
     crashed_.store(true, std::memory_order_release);
     queue_.close();
-    if (lanes_ != nullptr) LiveEngine::ring_doorbell(*lanes_);
+    LiveEngine::ring_doorbell(lanes_);
   }
 
   bool crashed() const {
@@ -212,18 +216,10 @@ class LiveEngine::Worker {
   std::uint64_t buffered_count() const {
     return buffered_.load(std::memory_order_relaxed);
   }
-  /// Post-join only: the dead store, scanned by the respawn to charge
+  /// Only while the thread is not running: the respawn compares a dead
+  /// worker's store with its rebuilt successor's to charge
   /// absorbed-but-unreplayable tuples to the loss ledger.
-  const JoinStore& dead_store() const { return store_; }
-  /// Pre-start only: does the rebuilt store already hold this tuple?
-  bool store_has(KeyId key, std::uint64_t seq) const {
-    if (const auto* bucket = store_.find(key)) {
-      for (const auto& st : *bucket) {
-        if (st.seq == seq) return true;
-      }
-    }
-    return false;
-  }
+  const JoinStore& store() const { return store_; }
   /// Re-process one store-side delivery during replay. Sequence-deduped
   /// against the restored store: a tuple that arrived via the
   /// checkpoint or a migration batch is not inserted twice (stored
@@ -231,11 +227,7 @@ class LiveEngine::Worker {
   /// not). `fresh` = the crashed worker verifiably never processed it,
   /// so the store counter advances.
   void replay_store(const Record& rec, bool fresh) {
-    if (const auto* bucket = store_.find(rec.key)) {
-      for (const auto& st : *bucket) {
-        if (st.seq == rec.seq) return;
-      }
-    }
+    if (store_.contains(rec.key, rec.seq)) return;
     StoredTuple st;
     st.seq = rec.seq;
     st.payload = rec.payload;
@@ -270,24 +262,20 @@ class LiveEngine::Worker {
     }
     process(rec);
   }
-  /// After stop_and_join() on a crashed worker: count the deliveries
-  /// that died unprocessed in its control queue. DataMsg envelopes
-  /// exist in legacy mode only (laned data rides the lanes); absorb /
-  /// release / abort payloads carry records that were already extracted
-  /// into migration machinery. ReplayReq payloads are NOT a loss: they
-  /// came out of the log during a dead peer's recovery and are
-  /// idempotent to re-deliver (store-side records seq-dedup, probe-side
-  /// ones were verifiably never served), so a double fault — this
-  /// worker dying while a peer's replay deliveries sat in its queue —
-  /// hands them back to the supervisor via `salvaged` and the respawn
-  /// re-enters replay through the retarget backlog.
-  void drain_dead_queue(std::uint64_t& data_msgs,
-                        std::uint64_t& buffered_records,
+  /// After stop_and_join() on a crashed worker: count the records that
+  /// died unprocessed in its control queue. Absorb / release / abort
+  /// payloads carry records that were already extracted into migration
+  /// machinery. ReplayReq payloads are NOT a loss: they came out of the
+  /// log during a dead peer's recovery and are idempotent to re-deliver
+  /// (store-side records seq-dedup, probe-side ones were verifiably
+  /// never served), so a double fault — this worker dying while a
+  /// peer's replay deliveries sat in its queue — hands them back to the
+  /// supervisor via `salvaged` and the respawn re-enters replay through
+  /// the retarget backlog.
+  void drain_dead_queue(std::uint64_t& buffered_records,
                         std::vector<ReplayDelivery>& salvaged) {
     while (auto env = queue_.try_pop()) {
-      if (std::holds_alternative<DataMsg>(env->msg)) {
-        ++data_msgs;
-      } else if (const auto* a = std::get_if<AbsorbReq>(&env->msg)) {
+      if (const auto* a = std::get_if<AbsorbReq>(&env->msg)) {
         // A dead Absorb loses the batch's stored tuples too, not just
         // its pending probes: the routing table already points at this
         // worker, the log entries still carry the *source's* id, and
@@ -333,14 +321,10 @@ class LiveEngine::Worker {
   /// every lane feeding this worker. This is the paper's φ input.
   std::size_t queue_length() const {
     std::size_t n = queue_.size();
-    if (lanes_ != nullptr) {
-      for (const auto& lane : lanes_->lanes) {
-        const auto pushed =
-            lane->pushed.load(std::memory_order_acquire);
-        const auto popped =
-            lane->popped.load(std::memory_order_relaxed);
-        n += pushed >= popped ? pushed - popped : 0;
-      }
+    for (const auto& lane : lanes_.lanes) {
+      const auto pushed = lane->pushed.load(std::memory_order_acquire);
+      const auto popped = lane->popped.load(std::memory_order_relaxed);
+      n += pushed >= popped ? pushed - popped : 0;
     }
     return n;
   }
@@ -351,6 +335,18 @@ class LiveEngine::Worker {
   InstanceId id() const { return id_; }
 
  private:
+  /// This worker's identity packed for flight-recorder arguments.
+  std::uint64_t fid() const {
+    return tel::flight_id(static_cast<int>(store_side_), id_);
+  }
+
+  /// Micro-batch drains over the SPSC lanes, control envelopes polled
+  /// between batches, watermark barriers honored. An idle worker
+  /// spins/yields per the engine's SpinPolicy (zero spins when
+  /// oversubscribed), then parks on the lane-set doorbell until a
+  /// producer or control sender rings it — event-driven idling instead
+  /// of sleep-polling, which on an oversubscribed box burned the very
+  /// quantum the producers needed.
   void loop() {
     char label[32];
     std::snprintf(label, sizeof(label), "worker-%s%u",
@@ -358,41 +354,6 @@ class LiveEngine::Worker {
                   static_cast<unsigned>(id_));
     tel::set_thread_label(label);
     pin_current_thread(engine_.worker_cpu(store_side_, id_));
-    if (lanes_ != nullptr) {
-      loop_laned();
-    } else {
-      loop_legacy();
-    }
-  }
-
-  /// This worker's identity packed for flight-recorder arguments.
-  std::uint64_t fid() const {
-    return tel::flight_id(static_cast<int>(store_side_), id_);
-  }
-
-  /// Legacy data plane: data and control share the mutex+condvar queue,
-  /// one condvar wakeup per message. Kept as the measured baseline.
-  void loop_legacy() {
-    for (;;) {
-      auto env = queue_.pop_for(std::chrono::milliseconds(250));
-      if (crashed_.load(std::memory_order_acquire)) return;  // discard
-      if (!env) {
-        if (queue_.closed()) return;  // closed and drained
-        continue;                     // idle tick; re-check liveness
-      }
-      std::visit([this](auto&& m) { handle(std::move(m)); },
-                 std::move(env->msg));
-    }
-  }
-
-  /// Laned data plane: micro-batch drains over the SPSC lanes, control
-  /// envelopes polled between batches, watermark barriers honored. An
-  /// idle worker spins/yields per the engine's SpinPolicy (zero spins
-  /// when oversubscribed), then parks on the lane-set doorbell until a
-  /// producer or control sender rings it — event-driven idling instead
-  /// of sleep-polling, which on an oversubscribed box burned the very
-  /// quantum the producers needed.
-  void loop_laned() {
     // Drain scratch comes from the engine's recycled pool: a respawned
     // worker inherits its dead predecessor's buffer instead of paying
     // an allocation on the recovery path.
@@ -441,7 +402,7 @@ class LiveEngine::Worker {
   bool has_work() const {
     if (crashed_.load(std::memory_order_acquire)) return true;
     if (queue_.size() > 0 || queue_.closed()) return true;
-    for (const auto& lane : lanes_->lanes) {
+    for (const auto& lane : lanes_.lanes) {
       if (lane->pushed.load(std::memory_order_acquire) !=
           lane->popped.load(std::memory_order_relaxed)) {
         return true;
@@ -456,7 +417,7 @@ class LiveEngine::Worker {
   /// ringer observes `armed` (and notifies under the mutex) or this
   /// re-check observes the rung-about work — no lost wakeup.
   void park() {
-    LaneSet& ls = *lanes_;
+    LaneSet& ls = lanes_;
     ls.armed.fetch_add(1, std::memory_order_seq_cst);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (!has_work()) {
@@ -474,7 +435,7 @@ class LiveEngine::Worker {
   /// One micro-batch pass over every lane. Returns records processed.
   std::size_t drain_lanes(DataMsg* scratch) {
     std::size_t total = 0;
-    for (auto& lane : lanes_->lanes) {
+    for (auto& lane : lanes_.lanes) {
       const std::size_t n =
           lane->ring.try_pop_batch(scratch, kDrainBatch);
       for (std::size_t i = 0; i < n; ++i) handle(std::move(scratch[i]));
@@ -489,13 +450,14 @@ class LiveEngine::Worker {
   /// Consume each lane up to its stamped watermark before a control
   /// action: everything routed to this worker before the watermark was
   /// captured is processed (or diverted to the forward/held buffers)
-  /// first — the laned replacement for the old single-queue FIFO.
+  /// first. Data and control ride different channels, so this barrier
+  /// is what orders them.
   void drain_past(const std::vector<std::uint64_t>& barrier,
                   DataMsg* scratch) {
     const std::size_t n_lanes =
-        std::min(barrier.size(), lanes_->lanes.size());
+        std::min(barrier.size(), lanes_.lanes.size());
     for (std::size_t i = 0; i < n_lanes; ++i) {
-      DataLane& lane = *lanes_->lanes[i];
+      DataLane& lane = *lanes_.lanes[i];
       while (lane.popped.load(std::memory_order_relaxed) < barrier[i]) {
         if (crashed_.load(std::memory_order_acquire)) return;
         const std::uint64_t want =
@@ -517,7 +479,7 @@ class LiveEngine::Worker {
   }
 
   bool lanes_drained() const {
-    for (const auto& lane : lanes_->lanes) {
+    for (const auto& lane : lanes_.lanes) {
       if (!lane->ring.closed() || !lane->ring.empty_approx()) {
         return false;
       }
@@ -591,34 +553,9 @@ class LiveEngine::Worker {
       stores_done_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    // Probe.
-    std::uint64_t matches = 0;
-    if (const auto* bucket = store_.find(rec.key)) {
-      if (engine_.on_match_) {
-        for (const auto& st : *bucket) {
-          if (precedes(st.ts, store_side_, st.seq, rec.ts, rec.side,
-                       rec.seq)) {
-            ++matches;
-            MatchPair p;
-            p.key = rec.key;
-            p.r_seq = store_side_ == Side::kR ? st.seq : rec.seq;
-            p.s_seq = store_side_ == Side::kR ? rec.seq : st.seq;
-            engine_.on_match_(p);
-          }
-        }
-      } else {
-        // Buckets are timestamp ordered, so non-preceding tuples form a
-        // suffix: exact count in O(1 + suffix length).
-        matches = bucket->size();
-        for (auto it = bucket->rbegin(); it != bucket->rend(); ++it) {
-          if (precedes(it->ts, store_side_, it->seq, rec.ts, rec.side,
-                       rec.seq)) {
-            break;
-          }
-          --matches;
-        }
-      }
-    }
+    const std::uint64_t matches =
+        engine_.on_match_ ? store_.probe_each(rec, engine_.on_match_)
+                          : store_.probe_count(rec);
     spin_for(engine_.cfg_.work_per_match_ns * matches);
     ++probe_window_[rec.key];
     results_.fetch_add(matches, std::memory_order_relaxed);
@@ -730,12 +667,7 @@ class LiveEngine::Worker {
   /// then leave two copies of the same tuple in one store, and every
   /// later probe of that key would emit duplicate matches.
   void merge_tuple(KeyId key, const StoredTuple& st) {
-    if (const auto* bucket = store_.find(key)) {
-      for (const auto& have : *bucket) {
-        if (have.seq == st.seq) return;
-      }
-    }
-    store_.insert(key, st);
+    if (!store_.contains(key, st.seq)) store_.insert(key, st);
   }
 
   void handle(AbsorbReq req) {
@@ -839,17 +771,7 @@ class LiveEngine::Worker {
     // shadow, but a Release-committed batch leaves it populated until
     // the next extraction).
     for (const auto& [k, st] : pending_extract_) {
-      if (const auto* bucket = store_.find(k)) {
-        bool have = false;
-        for (const auto& cur : *bucket) {
-          if (cur.seq == st.seq) {
-            have = true;
-            break;
-          }
-        }
-        if (have) continue;
-      }
-      snap->tuples.emplace_back(k, st);
+      if (!store_.contains(k, st.seq)) snap->tuples.emplace_back(k, st);
     }
     // The offsets are captured in-thread with the store snapshot, so
     // the pair is exactly consistent: the store reflects precisely the
@@ -884,8 +806,8 @@ class LiveEngine::Worker {
   const LiveEngine& engine_;
   InstanceId id_;
   Side store_side_;
-  BoundedQueue<Envelope> queue_;  ///< control (and legacy-mode data)
-  LaneSet* lanes_;                ///< engine-owned; null in legacy mode
+  BoundedQueue<Envelope> queue_;  ///< control messages
+  LaneSet& lanes_;                ///< engine-owned data lanes
   std::thread thread_;
 
   /// Worker-private allocation arena backing store_'s buckets and hash
@@ -943,11 +865,6 @@ LiveEngine::LiveEngine(const LiveConfig& cfg)
     // across batches, so steady state allocates nothing here.
     slot.stages.resize(2 * static_cast<std::size_t>(cfg_.instances));
   }
-  if (cfg_.ingest.enabled && !laned()) {
-    FJ_ERROR("live") << "StreamLog ingest requires DataPlane::kLaned; "
-                        "ingest disabled for this run";
-    cfg_.ingest.enabled = false;
-  }
   if (cfg_.ingest.enabled) {
     // One partition per producer lane: a partition's append order then
     // equals its lane's FIFO order (both happen inside the producer's
@@ -961,22 +878,18 @@ LiveEngine::LiveEngine(const LiveConfig& cfg)
     workers_[g].reserve(cfg_.instances);
     retarget_backlog_[g].resize(cfg_.instances);
     slot_gen_[g].assign(cfg_.instances, 0);
-    if (laned()) lane_sets_[g].reserve(cfg_.instances);
+    lane_sets_[g].reserve(cfg_.instances);
     for (InstanceId i = 0; i < cfg_.instances; ++i) {
-      LaneSet* ls = nullptr;
-      if (laned()) {
-        auto set = std::make_unique<LaneSet>();
-        set->lanes.reserve(n_slots);
-        for (std::size_t p = 0; p < n_slots; ++p) {
-          set->lanes.push_back(
-              std::make_unique<DataLane>(cfg_.lane_capacity));
-        }
-        ls = set.get();
-        lane_sets_[g].push_back(std::move(set));
+      auto set = std::make_unique<LaneSet>();
+      set->lanes.reserve(n_slots);
+      for (std::size_t p = 0; p < n_slots; ++p) {
+        set->lanes.push_back(
+            std::make_unique<DataLane>(cfg_.lane_capacity));
       }
       workers_[g].push_back(std::make_unique<Worker>(
           *this, i, static_cast<Side>(g), cfg_.queue_capacity,
-          cfg_.window_subwindows, ls, ingest_parts));
+          cfg_.window_subwindows, *set, ingest_parts));
+      lane_sets_[g].push_back(std::move(set));
     }
   }
 }
@@ -1134,7 +1047,6 @@ std::size_t LiveEngine::push_batch(const Record* recs, std::size_t n,
   records_in_.fetch_add(n, std::memory_order_relaxed);
   live_metrics().records_in.add(n);
   live_metrics().batches.add(1);
-  if (!laned()) return push_batch_legacy(recs, n);
 
   std::size_t lane_idx;
   Mutex* fallback = nullptr;
@@ -1256,49 +1168,6 @@ std::size_t LiveEngine::push_batch(const Record* recs, std::size_t n,
   return delivered;
 }
 
-/// Pre-optimization data plane: route lookup and both enqueues under the
-/// global routing lock, one condvar-waking queue push per delivery, a
-/// clock read per sampled record. Exists so bench/live_throughput can
-/// record an honest before/after in one run.
-std::size_t LiveEngine::push_batch_legacy(const Record* recs,
-                                          std::size_t n) {
-  MutexLock lock(route_mutex_);
-  const RouteTable& rt = *route_table_.load(std::memory_order_acquire);
-  // All legacy pushes are serialized by route_mutex_, so the fallback
-  // slot's sampling tick is safe to use here.
-  ProducerSlot& slot = producer_slots_[cfg_.max_producers];
-  const std::uint32_t every = cfg_.latency_sample_every;
-  std::size_t delivered = 0;
-  for (std::size_t r = 0; r < n; ++r) {
-    const Record& rec = recs[r];
-    auto stamp = kUnsampled;
-    if (every != 0) {
-      if (slot.sample_countdown == 0) {
-        stamp = std::chrono::steady_clock::now();  // fastjoin-lint: allow(protocol-clock) latency telemetry
-        slot.sample_countdown = every - 1;
-      } else {
-        --slot.sample_countdown;
-      }
-    }
-    const InstanceId store_dst = route(rt, rec.side, rec.key);
-    const InstanceId probe_dst =
-        route(rt, other_side(rec.side), rec.key);
-    bool ok = true;
-    if (!worker(rec.side, store_dst)
-             .send(DataMsg{rec, stamp})) {
-      note_drop(1);
-      ok = false;
-    }
-    if (!worker(other_side(rec.side), probe_dst)
-             .send(DataMsg{rec, stamp})) {
-      note_drop(1);
-      ok = false;
-    }
-    if (ok) ++delivered;
-  }
-  return delivered;
-}
-
 template <typename Mutate>
 void LiveEngine::publish_routes(Mutate&& mutate) {
   // The monitor thread is the sole mutator, so the unsynchronized read
@@ -1307,8 +1176,8 @@ void LiveEngine::publish_routes(Mutate&& mutate) {
   auto* next = new RouteTable(*old);
   mutate(*next);
   {
-    // route_mutex_ serializes against legacy-mode pushes and pins
-    // worker slots; laned producers never take it.
+    // route_mutex_ serializes writers and pins worker slots; producers
+    // never take it.
     MutexLock lock(route_mutex_);
     route_table_.store(next, std::memory_order_seq_cst);
   }
@@ -1317,7 +1186,6 @@ void LiveEngine::publish_routes(Mutate&& mutate) {
 }
 
 void LiveEngine::wait_for_producers() {
-  if (!laned()) return;  // legacy pushes serialize on route_mutex_
   // Ordering: a producer enters its critical section (seq_cst RMW),
   // then loads the table (seq_cst); we stored the new table (seq_cst),
   // then load each counter (seq_cst). If a producer read the *old*
@@ -1355,7 +1223,6 @@ void LiveEngine::wait_for_producers() {
 
 std::vector<std::uint64_t> LiveEngine::capture_watermarks(
     Side group, InstanceId id) const {
-  if (!laned()) return {};  // queue FIFO already orders control vs data
   const LaneSet& ls = *lane_sets_[static_cast<int>(group)][id];
   std::vector<std::uint64_t> wm(ls.lanes.size());
   for (std::size_t i = 0; i < ls.lanes.size(); ++i) {
@@ -1374,9 +1241,7 @@ void LiveEngine::crash(Side group, InstanceId id) {
   if (w.crashed()) return;
   // Close the slot's lanes first so producers backpressured on them
   // fail fast instead of waiting for a consumer that just died.
-  if (laned()) {
-    lane_sets_[g][id]->open.store(false, std::memory_order_release);
-  }
+  lane_sets_[g][id]->open.store(false, std::memory_order_release);
   w.crash();
   crashes_.fetch_add(1, std::memory_order_relaxed);
   live_metrics().crashes.add(1);
@@ -1822,15 +1687,12 @@ void LiveEngine::respawn(Side group, InstanceId id) {
   if (replaying) marks = old->consumed_marks();
   // Loss ledger for what the log cannot replay: records inside
   // migration machinery (forward/held buffers, absorb/release payloads
-  // stuck in the control queue) died with the worker. Legacy-mode data
-  // envelopes discarded from the queue are ordinary dropped deliveries.
+  // stuck in the control queue) died with the worker.
   buffered_lost_ += old->buffered_count();
   {
-    std::uint64_t dead_data = 0;
     std::uint64_t dead_buffered = 0;
     std::vector<ReplayDelivery> salvaged;
-    old->drain_dead_queue(dead_data, dead_buffered, salvaged);
-    if (dead_data > 0) note_drop(dead_data);
+    old->drain_dead_queue(dead_buffered, salvaged);
     buffered_lost_ += dead_buffered;
     if (!salvaged.empty()) {
       if (replaying) {
@@ -1869,28 +1731,26 @@ void LiveEngine::respawn(Side group, InstanceId id) {
     }
   }
 
-  LaneSet* ls = laned() ? lane_sets_[g][id].get() : nullptr;
-  if (ls != nullptr) {
-    // Drain the lane residue from the crash window (acting as the
-    // lanes' temporary consumer — the dead worker's thread is joined).
-    // Keeping `popped` in step with the discarded records preserves the
-    // watermark-barrier arithmetic across the respawn. With replay
-    // enabled the residue is not a loss: every residue record was
-    // appended to the log before it was laned, sits at an offset below
-    // the end-offset the replay pass reads, and is at-or-above the dead
-    // worker's watermark (it was never popped) — so the replay
-    // re-processes it.
-    std::uint64_t residue = 0;
-    for (auto& lane : ls->lanes) {
-      std::uint64_t k = 0;
-      while (lane->ring.try_pop()) ++k;
-      if (k > 0) {
-        lane->popped.fetch_add(k, std::memory_order_release);
-        residue += k;
-      }
+  // Drain the lane residue from the crash window (acting as the lanes'
+  // temporary consumer — the dead worker's thread is joined). Keeping
+  // `popped` in step with the discarded records preserves the
+  // watermark-barrier arithmetic across the respawn. With replay
+  // enabled the residue is not a loss: every residue record was
+  // appended to the log before it was laned, sits at an offset below
+  // the end-offset the replay pass reads, and is at-or-above the dead
+  // worker's watermark (it was never popped) — so the replay
+  // re-processes it.
+  LaneSet& ls = *lane_sets_[g][id];
+  std::uint64_t residue = 0;
+  for (auto& lane : ls.lanes) {
+    std::uint64_t k = 0;
+    while (lane->ring.try_pop()) ++k;
+    if (k > 0) {
+      lane->popped.fetch_add(k, std::memory_order_release);
+      residue += k;
     }
-    if (residue > 0 && !replaying) note_drop(residue);
   }
+  if (residue > 0 && !replaying) note_drop(residue);
 
   const std::uint32_t ingest_parts =
       log_ != nullptr ? log_->partitions() : 0;
@@ -1915,7 +1775,7 @@ void LiveEngine::respawn(Side group, InstanceId id) {
   std::uint64_t restored = 0;
   {
     // The routing lock both gives a stable routing view for the restore
-    // filter and pins the slot against concurrent crash()/legacy push.
+    // filter and pins the slot against a concurrent crash().
     MutexLock lock(route_mutex_);
     if (ckpt) {
       for (const auto& [key, st] : ckpt->tuples) {
@@ -1950,11 +1810,11 @@ void LiveEngine::respawn(Side group, InstanceId id) {
     // the loss is bounded-and-explained, not silent; the window is
     // bounded by the checkpoint cadence.
     std::uint64_t absorbed_lost = 0;
-    for (KeyId k : old->dead_store().keys()) {
+    for (KeyId k : old->store().keys()) {
       if (route_current(group, k) != id) continue;
-      if (const auto* bucket = old->dead_store().find(k)) {
+      if (const auto* bucket = old->store().find(k)) {
         for (const auto& st : *bucket) {
-          if (!fresh->store_has(k, st.seq)) ++absorbed_lost;
+          if (!fresh->store().contains(k, st.seq)) ++absorbed_lost;
         }
       }
     }
@@ -1971,7 +1831,7 @@ void LiveEngine::respawn(Side group, InstanceId id) {
     workers_[g][id] = std::move(fresh);  // destroys the old worker
   }
   workers_[g][id]->start();
-  if (ls != nullptr) ls->open.store(true, std::memory_order_release);
+  ls.open.store(true, std::memory_order_release);
   if (probe_marks_[g].size() > id) probe_marks_[g][id] = 0;
   // Deliver replay records other recoveries parked for this slot while
   // it was down.
@@ -2060,7 +1920,7 @@ void LiveEngine::replay_worker(Side group, InstanceId id, Worker& fresh,
   };
   // The routing lock gives a stable view for the retarget decisions; the
   // monitor thread (migration orchestrator) is the caller, so routes
-  // could not move under us anyway, but crash()/legacy pushes can race.
+  // could not move under us anyway, but crash() can race.
   MutexLock lock(route_mutex_);
   for (;;) {
     // K-way merge: pick the globally next record in the `precedes` total
@@ -2167,7 +2027,17 @@ void LiveEngine::monitor_loop() {
   auto next_window = clk_->now() + cfg_.subwindow_len;
   auto next_checkpoint = clk_->now() + cfg_.checkpoint_period;
   while (!stopping_.load(std::memory_order_relaxed)) {
-    clk_->sleep_for(cfg_.monitor_period);
+    // One monitor period on the injected clock, in slices up to a
+    // deadline: oversleeping a slice does not stretch the tick, a
+    // virtual clock still advances by the whole period per tick, and
+    // finish() wakes the monitor within one slice.
+    const auto deadline = clk_->now() + cfg_.monitor_period;
+    for (auto now = clk_->now();
+         now < deadline && !stopping_.load(std::memory_order_relaxed);
+         now = clk_->now()) {
+      clk_->sleep_for(
+          std::min<std::chrono::nanoseconds>(deadline - now, kMonitorSlice));
+    }
     if (stopping_.load(std::memory_order_relaxed)) break;
     supervise();
     // Periodic aggregation: every registered metric's current value is

@@ -27,17 +27,12 @@
 //    table the monitor waits for a grace period (every producer's
 //    critical section observed outside or re-entered), so watermarks
 //    captured afterwards cover every record routed with the old table.
-//  * The pre-optimization data plane (route under a global mutex, data
-//    and control in one mutex+condvar queue) is preserved as
-//    DataPlane::kLegacyLocked so bench/live_throughput can measure the
-//    before/after in a single run.
 //
 // Concurrency design (and why migration stays exactly-once):
 //  * push() routes against the current snapshot and enqueues to the
 //    destination lanes inside one producer critical section.
 //  * Workers only ever touch their own state; every cross-worker action
-//    is a control message, ordered against data by lane watermarks
-//    (laned mode) or queue FIFO (legacy mode).
+//    is a control message, ordered against data by lane watermarks.
 //  * The monitor thread orchestrates migrations:
 //      1. SelectExtract at the source (stamped with the source's lane
 //         watermarks, so selection sees everything routed before it;
@@ -111,7 +106,7 @@
 namespace fastjoin {
 
 /// DataMsg::partition value when the record was not logged (ingest
-/// disabled, or the legacy data plane).
+/// disabled).
 inline constexpr std::uint32_t kNoIngestPartition = 0xffffffffu;
 
 /// Points in the live migration protocol where the chaos hook fires
@@ -126,24 +121,14 @@ enum class MigrationPhase : std::uint8_t {
 
 const char* migration_phase_name(MigrationPhase p);
 
-/// Which data plane the engine runs. kLaned is the real one; the legacy
-/// plane is kept as the measured baseline for bench/live_throughput.
-enum class DataPlane : std::uint8_t {
-  kLaned,         ///< lock-free routing snapshot + SPSC lanes (default)
-  kLegacyLocked,  ///< global route mutex + mutex/condvar unified queue
-};
-
 struct LiveConfig {
   std::uint32_t instances = 4;  ///< join instances per biclique side
   bool balancer = true;         ///< FastJoin on, BiStream off
   PlannerConfig planner;        ///< theta etc.
   std::chrono::milliseconds monitor_period{20};
   double min_heaviest_load = 1000.0;
-  /// Capacity bound of each per-worker control queue (and of the whole
-  /// per-worker data queue in kLegacyLocked mode).
+  /// Capacity bound of each per-worker control queue.
   std::size_t queue_capacity = 1 << 15;
-  /// Data plane selection; see DataPlane.
-  DataPlane data_plane = DataPlane::kLaned;
   /// Registered-producer slots (each gets a private SPSC lane per
   /// worker). Callers beyond this many, and unregistered callers, share
   /// the mutex-serialized fallback lane.
@@ -200,12 +185,12 @@ struct LiveConfig {
   /// usable CPUs, idle loops park immediately on the lane doorbell
   /// instead of burning the quantum the busy thread needs.
   PlacementConfig placement;
-  /// StreamLog ingest (requires DataPlane::kLaned). When enabled, the
-  /// engine owns a StreamLog with one partition per producer lane
-  /// (max_producers + 1; the `partitions` field is overridden), every
-  /// push is appended before it is laned, and — with `ingest.replay` —
-  /// crashed workers are replayed from their last checkpointed offsets
-  /// instead of dropping the crash window.
+  /// StreamLog ingest. When enabled, the engine owns a StreamLog with
+  /// one partition per producer lane (max_producers + 1; the
+  /// `partitions` field is overridden), every push is appended before
+  /// it is laned, and — with `ingest.replay` — crashed workers are
+  /// replayed from their last checkpointed offsets instead of dropping
+  /// the crash window.
   IngestConfig ingest;
 };
 
@@ -213,8 +198,8 @@ struct LiveStats {
   std::uint64_t records_in = 0;
   /// Deliveries (a record makes two: store + probe) that were lost
   /// before reaching a live worker: pushes while the engine was not
-  /// running, pushes to a crashed worker's closed lanes, legacy-mode
-  /// sends into a closed queue, and lane residue discarded at respawn.
+  /// running, pushes to a crashed worker's closed lanes, and lane
+  /// residue discarded at respawn.
   /// With ingest replay enabled, every one of those paths is covered by
   /// the log and this reads 0; the remaining (bounded, documented) loss
   /// is records that died *inside* migration machinery — see
@@ -398,14 +383,12 @@ class LiveEngine {
     std::uint32_t partition = kNoIngestPartition;
     std::uint64_t offset = 0;
   };
-  using Msg = std::variant<DataMsg, SelectExtractReq, TakeForwardReq,
-                           HoldReq, AbsorbReq, ReleaseReq,
-                           AbortMigrationReq, CheckpointReq,
-                           AdvanceWindowReq, ReplayReq>;
-  /// Control (and, in legacy mode, data) envelope. A non-empty barrier
-  /// holds one watermark per lane: the worker drains each lane until it
-  /// has consumed at least that many records before handling the
-  /// message.
+  using Msg = std::variant<SelectExtractReq, TakeForwardReq, HoldReq,
+                           AbsorbReq, ReleaseReq, AbortMigrationReq,
+                           CheckpointReq, AdvanceWindowReq, ReplayReq>;
+  /// Control envelope. A non-empty barrier holds one watermark per
+  /// lane: the worker drains each lane until it has consumed at least
+  /// that many records before handling the message.
   struct Envelope {
     Msg msg;
     std::vector<std::uint64_t> barrier;
@@ -515,7 +498,6 @@ class LiveEngine {
   /// exited (seqlock counters observed even or advanced).
   void wait_for_producers();
   /// Per-lane pushed-counts of one worker slot, for barrier stamping.
-  /// Empty in legacy mode (queue FIFO already orders control vs data).
   std::vector<std::uint64_t> capture_watermarks(Side group,
                                                 InstanceId id) const;
   /// Push a run of DataMsgs — all bound for one destination lane, in
@@ -530,8 +512,6 @@ class LiveEngine {
   /// seq_cst fence pairs with the arm sequence in the worker's park;
   /// see LaneSet.
   static void ring_doorbell(LaneSet& ls);
-  std::size_t push_batch_legacy(const Record* recs, std::size_t n);
-  bool laned() const { return cfg_.data_plane == DataPlane::kLaned; }
   /// CPU this worker thread should pin to (-1 = unpinned).
   int worker_cpu(Side group, InstanceId id) const {
     const std::size_t w =
@@ -571,9 +551,8 @@ class LiveEngine {
   /// Current routing table; readers load the pointer (no lock) inside
   /// their producer critical section, the monitor swaps it under
   /// route_mutex_ and reclaims after a grace period. route_mutex_ also
-  /// pins worker slots against concurrent crash()/respawn(), and in
-  /// legacy mode serializes the whole push path (the measured
-  /// pre-optimization behavior). route_table_ itself is deliberately
+  /// pins worker slots against concurrent crash()/respawn().
+  /// route_table_ itself is deliberately
   /// NOT GUARDED_BY(route_mutex_): the data plane reads it lock-free by
   /// design; the mutex only serializes writers.
   std::atomic<const RouteTable*> route_table_;

@@ -26,14 +26,6 @@ std::string default_socket_path() {
          ".sock";
 }
 
-bool bucket_has_seq(const JoinStore::Bucket* b, std::uint64_t seq) {
-  if (!b) return false;
-  for (const auto& t : *b) {
-    if (t.seq == seq) return true;
-  }
-  return false;
-}
-
 std::uint32_t deliver_halves(std::uint8_t flags) {
   return ((flags & net::kDeliverStore) ? 1u : 0u) +
          ((flags & net::kDeliverProbe) ? 1u : 0u);
@@ -1078,8 +1070,7 @@ void process_entry(WorkerState& st, const net::DataEntry& e) {
   const Record& rec = e.rec;
   if (e.flags & net::kDeliverStore) {
     JoinStore& store = st.stores[static_cast<int>(rec.side)];
-    if ((e.flags & net::kDedupStore) &&
-        bucket_has_seq(store.find(rec.key), rec.seq)) {
+    if ((e.flags & net::kDedupStore) && store.contains(rec.key, rec.seq)) {
       ++st.fin.dedup_skipped;
     } else {
       store.insert(rec.key, StoredTuple{rec.seq, rec.payload, rec.ts, 0});
@@ -1088,30 +1079,24 @@ void process_entry(WorkerState& st, const net::DataEntry& e) {
   }
   if (e.flags & net::kDeliverProbe) {
     ++st.fin.probes;
-    const Side stored_side = other_side(rec.side);
+    // probe_each walks the whole bucket. probe_count would be exact here
+    // too; it waits for incremental checkpoints, because a faster worker
+    // takes its whole-store snapshots sooner and raises peak RSS.
+    const JoinStore& store =
+        st.stores[static_cast<int>(other_side(rec.side))];
     const bool suppress = (e.flags & net::kSuppressEmit) != 0;
-    const JoinStore::Bucket* b =
-        st.stores[static_cast<int>(stored_side)].find(rec.key);
-    if (b != nullptr) {
-      for (const StoredTuple& t : *b) {
-        if (!precedes(t.ts, stored_side, t.seq, rec.ts, rec.side,
-                      rec.seq)) {
-          continue;
-        }
-        if (suppress) {
-          ++st.fin.suppressed;
-          continue;
-        }
-        ++st.fin.matches;
-        ++st.out.count;
-        if (st.collect) {
-          MatchPair p;
-          p.key = rec.key;
-          p.r_seq = stored_side == Side::kR ? t.seq : rec.seq;
-          p.s_seq = stored_side == Side::kR ? rec.seq : t.seq;
-          st.out.pairs.push_back(p);
-        }
-      }
+    const std::uint64_t n =
+        st.collect && !suppress
+            ? store.probe_each(rec,
+                               [&st](const MatchPair& p) {
+                                 st.out.pairs.push_back(p);
+                               })
+            : store.probe_each(rec, [](const MatchPair&) {});
+    if (suppress) {
+      st.fin.suppressed += n;
+    } else {
+      st.fin.matches += n;
+      st.out.count += n;
     }
   }
   st.consumed = e.offset + 1;
@@ -1133,7 +1118,7 @@ void snapshot_stores(const WorkerState& st, net::SnapshotMsg& snap) {
 void absorb_tuples(WorkerState& st, const net::AbsorbMsg& m) {
   for (const net::WireTuple& t : m.tuples) {
     JoinStore& store = st.stores[static_cast<int>(t.side)];
-    if (bucket_has_seq(store.find(t.key), t.tuple.seq)) {
+    if (store.contains(t.key, t.tuple.seq)) {
       ++st.fin.dedup_skipped;
       continue;
     }

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <tuple>
+#include <vector>
+
+#include "common/rng.hpp"
+
 namespace fastjoin {
 namespace {
 
@@ -216,6 +223,133 @@ TEST(JoinStore, LargeChurnStaysConsistent) {
   // Steady state: 4 closed sub-windows x 20 tuples survive (the 5th live
   // sub-window was just opened by the final advance and is still empty).
   EXPECT_EQ(store.size(), 80u);
+}
+
+// --- The join kernel: probe_count, probe_each, contains. ---------------
+
+using PairKey = std::tuple<KeyId, std::uint64_t, std::uint64_t>;
+
+/// A random feed over few keys and few timestamps (so ts ties are
+/// common, broken by side and then seq), sorted into `precedes` order.
+std::vector<Record> precedes_ordered_feed(std::uint64_t seed, int n,
+                                          int keys) {
+  Xoshiro256 rng(seed);
+  std::vector<Record> feed;
+  std::uint64_t seqs[2] = {0, 0};
+  for (int i = 0; i < n; ++i) {
+    Record r;
+    r.side = rng.next_below(2) ? Side::kS : Side::kR;
+    r.key = rng.next_below(static_cast<std::uint64_t>(keys));
+    r.seq = seqs[static_cast<int>(r.side)]++;
+    r.ts = rng.next_below(static_cast<std::uint64_t>(n / 8));
+    feed.push_back(r);
+  }
+  std::sort(feed.begin(), feed.end(),
+            [](const Record& a, const Record& b) { return precedes(a, b); });
+  return feed;
+}
+
+/// One store per side holding the whole feed, buckets in feed order.
+struct SideStores {
+  JoinStore by_side[2];
+  explicit SideStores(const std::vector<Record>& feed) {
+    for (const Record& r : feed) {
+      by_side[static_cast<int>(r.side)].insert(
+          r.key, StoredTuple{r.seq, r.payload, r.ts, 0});
+    }
+  }
+  const JoinStore& against(const Record& probe) const {
+    return by_side[static_cast<int>(other_side(probe.side))];
+  }
+};
+
+/// Brute force over the feed itself: every (stored, probe) pair the
+/// completeness rule joins.
+std::set<PairKey> expected_pairs(const std::vector<Record>& feed,
+                                 const Record& probe) {
+  std::set<PairKey> out;
+  for (const Record& r : feed) {
+    if (r.side == probe.side || r.key != probe.key || !precedes(r, probe)) {
+      continue;
+    }
+    out.emplace(probe.key, r.side == Side::kR ? r.seq : probe.seq,
+                r.side == Side::kR ? probe.seq : r.seq);
+  }
+  return out;
+}
+
+TEST(JoinStoreKernel, ProbeEachReportsExactlyThePrecedingTuples) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const auto feed = precedes_ordered_feed(seed, 400, 6);
+    const SideStores stores(feed);
+    bool probed[2] = {false, false};
+    for (const Record& probe : feed) {
+      const JoinStore& store = stores.against(probe);
+      std::multiset<PairKey> got;
+      const std::uint64_t n =
+          store.probe_each(probe, [&](const MatchPair& p) {
+            got.emplace(p.key, p.r_seq, p.s_seq);
+          });
+      const auto want = expected_pairs(feed, probe);
+      EXPECT_EQ(n, got.size()) << "seed " << seed;
+      EXPECT_EQ(std::set<PairKey>(got.begin(), got.end()), want)
+          << "seed " << seed;
+      EXPECT_EQ(got.size(), want.size())
+          << "seed " << seed << ": a pair was reported twice";
+      EXPECT_EQ(store.probe_count(probe), want.size()) << "seed " << seed;
+      if (n > 0) probed[static_cast<int>(probe.side)] = true;
+    }
+    EXPECT_TRUE(probed[0] && probed[1])
+        << "seed " << seed << ": both sides must probe";
+  }
+}
+
+TEST(JoinStoreKernel, ProbeMissesOnAbsentKey) {
+  JoinStore store;
+  store.insert(1, tuple(0, 0));
+  Record probe;
+  probe.side = Side::kS;  // the store holds R tuples
+  probe.key = 2;
+  probe.ts = 10;
+  EXPECT_EQ(store.probe_count(probe), 0u);
+  EXPECT_EQ(store.probe_each(probe, [](const MatchPair&) {
+    ADD_FAILURE() << "no tuple of key 2 is stored";
+  }), 0u);
+}
+
+TEST(JoinStoreKernel, ContainsPresentAbsentAndMissingKeys) {
+  JoinStore store;
+  store.insert(1, tuple(10));
+  store.insert(1, tuple(11));
+  store.insert(2, tuple(20));
+  EXPECT_TRUE(store.contains(1, 10));
+  EXPECT_TRUE(store.contains(1, 11));
+  EXPECT_TRUE(store.contains(2, 20));
+  EXPECT_FALSE(store.contains(1, 20));  // present key, absent seq
+  EXPECT_FALSE(store.contains(2, 10));
+  EXPECT_FALSE(store.contains(3, 10));  // missing key
+  store.extract_key(1);
+  EXPECT_FALSE(store.contains(1, 10));
+}
+
+TEST(JoinStoreKernel, ProbeEachIsExactOnAnOutOfOrderBucket) {
+  // probe_count relies on the bucket being in `precedes` order; the
+  // walk does not. On shuffled buckets probe_each still counts exactly,
+  // so a caller that cannot promise the order (the multiproc worker
+  // walks every probe) stays exact.
+  Xoshiro256 rng(99);
+  for (int round = 0; round < 20; ++round) {
+    auto feed = precedes_ordered_feed(100 + round, 300, 3);
+    for (std::size_t i = feed.size(); i > 1; --i) {
+      std::swap(feed[i - 1], feed[rng.next_below(i)]);
+    }
+    const SideStores stores(feed);
+    for (const Record& probe : feed) {
+      const JoinStore& store = stores.against(probe);
+      EXPECT_EQ(store.probe_each(probe, [](const MatchPair&) {}),
+                expected_pairs(feed, probe).size());
+    }
+  }
 }
 
 }  // namespace

@@ -306,20 +306,6 @@ TEST(IngestReplay, FileBackendSurvivesCrashReplay) {
   fs::remove_all(dir);
 }
 
-TEST(IngestReplay, IngestRequiresLanedPlane) {
-  LiveConfig cfg = replay_config();
-  cfg.data_plane = DataPlane::kLegacyLocked;
-  LiveEngine engine(cfg);
-  // The engine refuses (logs) the combination and runs without a log.
-  EXPECT_EQ(engine.ingest_log(), nullptr);
-  engine.start();
-  const auto trace = make_trace(37, 2'000, 50, 1.0);
-  for (const auto& rec : trace) engine.push(rec);
-  const auto stats = engine.finish();
-  EXPECT_EQ(stats.ingest_appended, 0u);
-  EXPECT_EQ(stats.results, expected_pairs(trace));
-}
-
 TEST(IngestReplay, WriteOnlyModeKeepsLegacyLossAccounting) {
   LiveConfig cfg = replay_config();
   cfg.ingest.replay = false;  // audit-trail mode: log but never replay

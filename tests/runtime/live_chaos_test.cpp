@@ -656,28 +656,6 @@ TEST(LiveChaos, DeadLaneDropsExactlyTheFailedDelivery) {
   EXPECT_EQ(stats.crashes, 2u);
 }
 
-TEST(LiveChaos, LegacyDeadQueueDropsExactlyTheFailedDelivery) {
-  LiveConfig cfg;
-  cfg.instances = 2;
-  cfg.balancer = false;
-  cfg.data_plane = DataPlane::kLegacyLocked;
-  cfg.monitor_period = std::chrono::milliseconds(1000);
-  LiveEngine engine(cfg);
-  engine.start();
-  engine.crash(Side::kS, 0);
-  engine.crash(Side::kS, 1);
-  Record rec;
-  rec.side = Side::kS;  // store delivery dies, probe (R side) lands
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    rec.key = i;
-    rec.seq = i;
-    EXPECT_FALSE(engine.push(rec));
-  }
-  const auto stats = engine.finish();
-  EXPECT_EQ(stats.records_dropped, 100u);
-  EXPECT_EQ(stats.records_in, 100u);
-}
-
 TEST(LiveChaos, DropsAreCountedWhileWorkerIsDown) {
   LiveConfig cfg;
   cfg.instances = 2;

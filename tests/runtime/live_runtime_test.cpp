@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <mutex>
 #include <set>
+#include <thread>
 
 #include "datagen/keygen.hpp"
 
@@ -140,6 +142,42 @@ TEST(LiveRuntime, DestructorWithoutFinishIsSafe) {
     // finish() runs from the destructor.
   }
   SUCCEED();
+}
+
+TEST(LiveRuntime, FinishDoesNotWaitOutTheMonitorPeriod) {
+  LiveConfig cfg;
+  cfg.instances = 2;
+  cfg.balancer = false;
+  cfg.monitor_period = std::chrono::seconds(1);
+  LiveEngine engine(cfg);
+  const auto t0 = std::chrono::steady_clock::now();
+  engine.start();
+  // Let the monitor enter its first tick's sleep before shutting down.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  (void)engine.finish();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(500));
+}
+
+TEST(LiveRuntime, SlicedMonitorSleepStillAdvancesVirtualTime) {
+  // Under a VirtualClock the monitor's sleep slices add up to whole
+  // periods of virtual time, so window ticks keep firing and evicting.
+  VirtualClock clock;
+  LiveConfig cfg;
+  cfg.instances = 2;
+  cfg.balancer = false;
+  cfg.clock = &clock;
+  cfg.window_subwindows = 2;
+  cfg.subwindow_len = std::chrono::milliseconds(100);
+  LiveEngine engine(cfg);
+  engine.start();
+  for (const auto& rec : make_trace(9, 2'000, 50, 1.0)) engine.push(rec);
+  const auto pushed_at = clock.now();
+  while (clock.now() < pushed_at + std::chrono::seconds(1)) {
+    std::this_thread::yield();
+  }
+  const auto stats = engine.finish();
+  EXPECT_GT(stats.evicted, 0u);
 }
 
 TEST(LiveRuntime, WindowedJoinEvicts) {
