@@ -121,7 +121,6 @@ LiveConfig laned_config(std::uint32_t instances) {
   // clock at random, which is exactly the noise a ratio-gated CI
   // bench cannot afford. This sweep isolates data-plane plumbing cost.
   cfg.balancer = false;
-  cfg.latency_sample_every = 64;  // keep the clock off the hot path
   return cfg;
 }
 

@@ -134,7 +134,6 @@ std::string run_chaos_leg(std::uint64_t records) {
   cfg.min_heaviest_load = 50.0;  // migrate eagerly on the skewed feed
   cfg.checkpoint_period = std::chrono::milliseconds(30);
   cfg.ingest.enabled = true;
-  cfg.ingest.replay = true;
   LiveEngine engine(cfg);
   engine.start();
 

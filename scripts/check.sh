@@ -23,7 +23,7 @@
 # The sanitizer passes rebuild into build-{tsan,asan,ubsan}/ (separate
 # caches) and run the test_common, test_net, test_server, test_runtime,
 # test_ingest and test_telemetry binaries, which cover the
-# arena/buffer-pool recycling, the SPSC lanes, the frame codec and socket
+# arena recycling, the SPSC lanes, the frame codec and socket
 # event loop, the serving front door (admission, slow clients, idle
 # sweeps), the worker/monitor/supervisor threading, the chaos tests, and
 # the StreamLog append/replay/truncation paths.

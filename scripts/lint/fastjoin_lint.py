@@ -61,6 +61,16 @@ lines (stdlib only, no libclang). Rules:
                      cost SpscRing its close-flag padding). Atomics
                      next to other atomics are not flagged — packed
                      all-atomic records are a deliberate layout.
+  dead-source        when a scanned directory is a `src/`, every header
+                     under it must be reached by some program: the rule
+                     follows quoted #includes from every file under the
+                     sibling tools/, bench/, examples/ and perfbench/src/
+                     (resolved against src/ and the including file's
+                     directory; a reached header also pulls in its
+                     same-name .cpp) and reports each src/**/X.hpp left
+                     over. Without any of those siblings the rule does
+                     not run. Its allow() goes on the header's first
+                     line.
 
 Escape hatch: `// fastjoin-lint: allow(<rule>)` on the offending line or
 the line directly above suppresses that rule there (add a one-line
@@ -754,8 +764,7 @@ NET_INCLUDE_RE = re.compile(
 # Global-scope-qualified socket syscalls (`::send`, never
 # `Connection::send` — the lookbehind rejects a qualified name) plus
 # the epoll family, whose bare names are unambiguous. poll/select are
-# qualified-only: bare `poll(` is a legitimate method name elsewhere
-# (ingest cursors).
+# qualified-only: bare `poll(` is a legitimate method name elsewhere.
 NET_CALL_RE = re.compile(
     r"(?<![\w>])::\s*(send|recv|sendto|recvfrom|sendmsg|recvmsg|"
     r"socket|connect|accept4?|bind|listen|shutdown|"
@@ -1019,6 +1028,75 @@ def check_atomic_padding(sf: SourceFile, findings: list[Finding]) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Rule: dead-source
+# ---------------------------------------------------------------------------
+
+# Where the programs live, relative to the parent of the scanned src/.
+PROGRAM_ROOTS = ("tools", "bench", "examples", os.path.join("perfbench", "src"))
+QUOTED_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
+HEADER_EXTS = {".hpp", ".h", ".hh"}
+
+
+def reached_sources(src_dir: str, roots: list[str]) -> set[str]:
+    """Real paths of every file under `roots` plus every file they reach
+    by quoted #include, transitively. An include resolves against
+    src_dir, then against the including file's directory; a reached
+    header also reaches its same-name .cpp."""
+    todo = [os.path.realpath(p) for p in iter_sources(roots)]
+    seen = set(todo)
+    while todo:
+        path = todo.pop()
+        with open(path, encoding="utf-8", errors="replace") as f:
+            includes = [m.group(1) for m in map(QUOTED_INCLUDE_RE.match, f)
+                        if m]
+        for inc in includes:
+            for base in (src_dir, os.path.dirname(path)):
+                target = os.path.realpath(os.path.join(base, inc))
+                if os.path.isfile(target):
+                    break
+            else:
+                continue
+            stem, ext = os.path.splitext(target)
+            pulled = [target]
+            if ext in HEADER_EXTS:
+                pulled.append(stem + ".cpp")
+            for p in pulled:
+                if p not in seen and os.path.isfile(p):
+                    seen.add(p)
+                    todo.append(p)
+    return seen
+
+
+def check_dead_source(paths: list[str], files: list[SourceFile],
+                      findings: list[Finding]) -> None:
+    rule = "dead-source"
+    for scanned in paths:
+        if not os.path.isdir(scanned) or \
+                os.path.basename(os.path.normpath(scanned)) != "src":
+            continue
+        src_dir = os.path.realpath(scanned)
+        parent = os.path.dirname(src_dir)
+        roots = [os.path.join(parent, r) for r in PROGRAM_ROOTS
+                 if os.path.isdir(os.path.join(parent, r))]
+        if not roots:
+            continue
+        reached = reached_sources(src_dir, roots)
+        for sf in files:
+            real = os.path.realpath(sf.path)
+            if os.path.splitext(real)[1] not in HEADER_EXTS or \
+                    not real.startswith(src_dir + os.sep) or \
+                    real in reached or sf.allowed(0, rule):
+                continue
+            findings.append(Finding(
+                sf.path, 1, rule,
+                "no program reaches this header: no file under "
+                f"{', '.join(PROGRAM_ROOTS)} includes it, directly or "
+                "through other src/ files. Delete the module and its "
+                "tests, or allow() it on this line with the reason",
+                sf.raw_lines[0] if sf.raw_lines else ""))
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -1051,6 +1129,7 @@ def run(paths: list[str], fuzz_dir: str | None = None) -> list[Finding]:
         check_parse_surface(sf, findings)
         check_atomic_padding(sf, findings)
     check_decode_parity(files, fuzz_dir, findings)
+    check_dead_source(paths, files, findings)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
 

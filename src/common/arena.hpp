@@ -1,17 +1,16 @@
 // Arena: a per-worker bump allocator with size-class recycling, and
 // the std-allocator adaptor that lets container-heavy hot state
-// (JoinStore buckets, batch staging) live off the global allocator.
+// (JoinStore buckets and hash nodes) live off the global allocator.
 //
 // Design, in order of importance:
 //
 //  1. *Thread ownership, not thread safety.* An Arena belongs to one
-//     thread (a live-engine worker, a producer slot). All operations
-//     are unsynchronized; cross-thread traffic goes through BufferPool
-//     below, which is the one synchronized type in this header.
+//     thread (a live-engine worker). All operations are
+//     unsynchronized.
 //  2. *Bump + free list.* Fresh blocks are carved from chunk tails
 //     (pointer bump, no metadata). Freed blocks go onto a per-size-
 //     class free list threaded through the blocks themselves, so
-//     steady-state churn (deque pages, staging buffers) recycles
+//     steady-state churn (deque pages, hash nodes) recycles
 //     without ever touching ::operator new again.
 //  3. *Graceful exhaustion.* Requests that exceed the chunk size, an
 //     optional byte budget, or an alignment the arena cannot honor
@@ -30,8 +29,6 @@
 #include <new>
 #include <utility>
 #include <vector>
-
-#include "common/mutex.hpp"
 
 namespace fastjoin {
 
@@ -209,70 +206,6 @@ class ArenaAllocator {
 
  private:
   Arena* arena_ = nullptr;
-};
-
-/// A shared pool of reusable `std::vector<T>` buffers for batch
-/// staging and drain scratch. Unlike Arena this IS thread-safe: a
-/// buffer acquired on one thread may be released on another (a dying
-/// worker's scratch is reissued to its respawned successor; producer
-/// staging outlives deregistration). Acquire/release happen at thread
-/// and batch lifecycle boundaries, not per record, so a mutex is the
-/// right tool — contention is structurally rare and the pool stays
-/// trivially correct under TSan.
-template <typename T>
-class BufferPool {
- public:
-  explicit BufferPool(std::size_t max_pooled = 64)
-      : max_pooled_(max_pooled) {}
-
-  /// Get a buffer with capacity >= `min_capacity` (cleared, possibly
-  /// recycled). Never fails: an empty pool just allocates.
-  std::vector<T> acquire(std::size_t min_capacity) {
-    {
-      MutexLock lk(mu_);
-      if (!pool_.empty()) {
-        std::vector<T> buf = std::move(pool_.back());
-        pool_.pop_back();
-        ++reused_;
-        buf.clear();
-        buf.reserve(min_capacity);
-        return buf;
-      }
-      ++misses_;
-    }
-    std::vector<T> buf;
-    buf.reserve(min_capacity);
-    return buf;
-  }
-
-  /// Return a buffer for reuse. Buffers beyond `max_pooled` are simply
-  /// dropped (freed), bounding the pool's footprint.
-  void release(std::vector<T>&& buf) {
-    if (buf.capacity() == 0) return;
-    MutexLock lk(mu_);
-    if (pool_.size() >= max_pooled_) return;  // drop: destructor frees
-    pool_.push_back(std::move(buf));
-  }
-
-  std::size_t pooled() const {
-    MutexLock lk(mu_);
-    return pool_.size();
-  }
-  std::uint64_t reused() const {
-    MutexLock lk(mu_);
-    return reused_;
-  }
-  std::uint64_t misses() const {
-    MutexLock lk(mu_);
-    return misses_;
-  }
-
- private:
-  mutable Mutex mu_;
-  std::vector<std::vector<T>> pool_ GUARDED_BY(mu_);
-  std::size_t max_pooled_ GUARDED_BY(mu_);
-  std::uint64_t reused_ GUARDED_BY(mu_) = 0;
-  std::uint64_t misses_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace fastjoin

@@ -5,11 +5,10 @@
 //               common/spsc_ring.hpp (a FASTJOIN_HOT_PATH file);
 //               re-exported here for existing includers.
 // BoundedQueue: mutex+condvar MPMC with backpressure, for control paths
-//               where contention is rare and blocking semantics are wanted.
+//               where contention is rare and a blocking push is wanted.
 #pragma once
 
 #include <cassert>
-#include <chrono>
 #include <cstddef>
 #include <deque>
 #include <optional>
@@ -20,11 +19,11 @@
 
 namespace fastjoin {
 
-/// Blocking MPMC queue with a capacity bound (backpressure) and
-/// close() for clean shutdown.
+/// MPMC queue with a capacity bound: push() blocks while full
+/// (backpressure), try_pop() never blocks, close() for clean shutdown.
 ///
 /// Lock discipline is machine-checked: items_ / closed_ are GUARDED_BY
-/// mutex_, and the wait loops are written as explicit `while` loops so
+/// mutex_, and the wait loop is written as an explicit `while` loop so
 /// every guarded read happens in a scope where Clang's thread-safety
 /// analysis can see the capability (predicate lambdas are analysed
 /// without the caller's lock set).
@@ -41,27 +40,7 @@ class BoundedQueue {
     while (!closed_ && items_.size() >= capacity_) not_full_.wait(lock);
     if (closed_) return false;
     items_.push_back(std::move(value));
-    not_empty_.notify_one();
     return true;
-  }
-
-  bool try_push(T value) EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    if (closed_ || items_.size() >= capacity_) return false;
-    items_.push_back(std::move(value));
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Blocks while empty; returns nullopt once closed AND drained.
-  std::optional<T> pop() EXCLUDES(mutex_) {
-    UniqueLock lock(mutex_);
-    while (!closed_ && items_.empty()) not_empty_.wait(lock);
-    if (items_.empty()) return std::nullopt;
-    T value = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return value;
   }
 
   std::optional<T> try_pop() EXCLUDES(mutex_) {
@@ -73,33 +52,11 @@ class BoundedQueue {
     return value;
   }
 
-  /// Blocks up to `timeout` for an item. Returns nullopt on timeout or
-  /// once closed and drained; callers that need to distinguish the two
-  /// check closed(). Supervised consumers use this instead of pop() so
-  /// they can notice out-of-band state (a crash flag, a deadline)
-  /// even when no producer ever wakes them.
-  template <typename Rep, typename Period>
-  std::optional<T> pop_for(std::chrono::duration<Rep, Period> timeout)
-      EXCLUDES(mutex_) {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    UniqueLock lock(mutex_);
-    while (!closed_ && items_.empty()) {
-      if (not_empty_.wait_until(lock, deadline) == std::cv_status::timeout) {
-        break;
-      }
-    }
-    if (items_.empty()) return std::nullopt;  // timed out, or closed+drained
-    T value = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return value;
-  }
-
-  /// After close(), pushes fail and pops drain the remaining items.
+  /// After close(), pushes fail and try_pop() drains the remaining
+  /// items.
   void close() EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     closed_ = true;
-    not_empty_.notify_all();
     not_full_.notify_all();
   }
 
@@ -115,7 +72,6 @@ class BoundedQueue {
 
  private:
   mutable Mutex mutex_;
-  CondVar not_empty_;
   CondVar not_full_;
   std::deque<T> items_ GUARDED_BY(mutex_);
   std::size_t capacity_;

@@ -8,6 +8,12 @@
 
 namespace fastjoin {
 
+namespace {
+/// Simulated time a crashed instance stays paused while it reloads its
+/// checkpoint.
+constexpr SimTime kRecoveryPause = kNanosPerMilli;
+}  // namespace
+
 const char* system_name(SystemKind k) {
   switch (k) {
     case SystemKind::kBiStream: return "BiStream";
@@ -104,7 +110,7 @@ void SimJoinEngine::schedule_failure(SimTime at, Side group,
     ++failures_;
     // Restore from the latest checkpoint after a recovery pause.
     inst->pause();
-    sim_.schedule_after(cfg_.recovery_pause, [this, g, inst, id]() {
+    sim_.schedule_after(kRecoveryPause, [this, g, inst, id]() {
       if (id < checkpoints_[g].size()) {
         inst->restore(checkpoints_[g][id]);
         tuples_recovered_ += checkpoints_[g][id].size();

@@ -68,8 +68,6 @@ struct EngineConfig {
   /// snapshots its stored tuples (0 = off). A crashed instance restores
   /// from its latest checkpoint; tuples stored since then are lost.
   SimTime checkpoint_period = 0;
-  /// Wall time a recovering instance is paused while reloading.
-  SimTime recovery_pause = kNanosPerMilli;
   MetricsConfig metrics;
   std::uint64_t seed = 1;
   /// After the feed ends, process the backlog to completion (true) or

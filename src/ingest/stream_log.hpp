@@ -9,7 +9,7 @@
 //  * Per-partition monotone offsets: the i-th record ever appended to a
 //    partition has offset i, forever — truncation removes old segments
 //    but never renumbers. An (offset, partition) pair is therefore a
-//    stable name for a record, which is what consumer cursors commit
+//    stable name for a record, which is what worker checkpoints record
 //    and what crash recovery replays from.
 //  * Backpressure instead of silent loss: try_append() refuses (and
 //    counts) once a partition's unflushed bytes exceed
@@ -42,14 +42,12 @@ namespace fastjoin {
 /// Configuration of the ingest log (embedded in LiveConfig as
 /// `ingest`; also usable standalone).
 struct IngestConfig {
-  /// Master switch for the engine integration: when false the engine
-  /// never instantiates a log and behaves exactly as before.
+  /// Master switch for the engine integration. When true the engine
+  /// logs every record and, at respawn, replays a crashed worker's
+  /// deliveries from its last checkpointed offsets (the
+  /// records_dropped == 0 mode). When false the engine never
+  /// instantiates a log and recovery is checkpoint-only.
   bool enabled = false;
-  /// Replay crashed workers' partitions from their last checkpointed
-  /// offsets at respawn (the records_dropped == 0 mode). When false the
-  /// log is write-only (an audit trail) and recovery is
-  /// checkpoint-only, as before.
-  bool replay = true;
   /// Partition count. The engine overrides this with its lane count
   /// (max_producers + 1) so partition order mirrors lane FIFO order.
   std::uint32_t partitions = 1;

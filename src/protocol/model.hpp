@@ -222,7 +222,9 @@ struct ModelConfig {
   std::uint32_t producers = 1;   ///< also the partition count
   std::uint32_t num_keys = 4;
   std::uint32_t num_records = 10;
-  bool replay = true;            ///< offset replay on (StreamLog mode)
+  /// Offset replay on: the engine's ingest-enabled mode. Off models
+  /// an engine without the ingest log (checkpoint-only recovery).
+  bool replay = true;
   std::uint32_t max_crashes = 1;
   std::uint32_t max_delays = 1;
   std::uint32_t max_checkpoints = 1;

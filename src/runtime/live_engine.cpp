@@ -14,6 +14,7 @@
 #include <optional>
 #include <unordered_set>
 
+#include "common/arena.hpp"
 #include "common/logging.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -76,6 +77,13 @@ constexpr std::chrono::steady_clock::time_point kUnsampled{};
 /// the ring index update, small enough to keep control latency bounded.
 constexpr std::size_t kDrainBatch = 128;
 
+/// Capacity bound of each per-worker control queue.
+constexpr std::size_t kControlQueueCapacity = 1 << 15;
+
+/// Capacity of each data lane (records; a power of two). Full lanes
+/// exert backpressure on the producer.
+constexpr std::size_t kLaneCapacity = 1 << 12;
+
 /// Longest the monitor sleeps between checks of `stopping_`, so
 /// finish() never waits out a whole monitor period.
 constexpr std::chrono::milliseconds kMonitorSlice{1};
@@ -122,12 +130,12 @@ class LiveEngine::Worker {
   };
 
   Worker(const LiveEngine& engine, InstanceId id, Side store_side,
-         std::size_t queue_capacity, std::uint32_t max_subwindows,
-         LaneSet& lanes, std::uint32_t ingest_partitions)
+         std::uint32_t max_subwindows, LaneSet& lanes,
+         std::uint32_t ingest_partitions)
       : engine_(engine),
         id_(id),
         store_side_(store_side),
-        queue_(queue_capacity),
+        queue_(kControlQueueCapacity),
         lanes_(lanes),
         store_(max_subwindows, &arena_),
         ingest_parts_(ingest_partitions) {
@@ -245,22 +253,15 @@ class LiveEngine::Worker {
   void preinstall_hold(const std::vector<KeyId>& keys) {
     held_keys_.insert(keys.begin(), keys.end());
   }
-  /// Re-process one probe-side delivery the crashed worker never
-  /// served: full processing including emission. Rides the same divert
-  /// checks as live data — with a re-installed hold the probe must wait
-  /// in the held buffer for the migration batch, not race it.
-  void replay_probe(const Record& rec) {
-    if (!forwarding_keys_.empty() && forwarding_keys_.count(rec.key)) {
-      forward_buffer_.push_back(rec);
-      note_buffered();
-      return;
-    }
-    if (!held_keys_.empty() && held_keys_.count(rec.key)) {
-      held_buffer_.push_back(rec);
-      note_buffered();
-      return;
-    }
-    process(rec);
+  /// Re-deliver one logged record: a probe the crashed worker never
+  /// served, or a delivery another worker's recovery redirected here.
+  /// Rides the same divert checks as live data — with a re-installed
+  /// hold a probe must wait in the held buffer for the migration batch,
+  /// not race it, and a concurrent migration of the key still sees the
+  /// record exactly once (the forward/held machinery ships it to
+  /// wherever the key ends up).
+  void redeliver(const Record& rec) {
+    if (!divert(rec)) apply(rec);
   }
   /// After stop_and_join() on a crashed worker: count the records that
   /// died unprocessed in its control queue. Absorb / release / abort
@@ -273,7 +274,7 @@ class LiveEngine::Worker {
   /// supervisor via `salvaged` and the respawn re-enters replay through
   /// the retarget backlog.
   void drain_dead_queue(std::uint64_t& buffered_records,
-                        std::vector<ReplayDelivery>& salvaged) {
+                        std::vector<Record>& salvaged) {
     while (auto env = queue_.try_pop()) {
       if (const auto* a = std::get_if<AbsorbReq>(&env->msg)) {
         // A dead Absorb loses the batch's stored tuples too, not just
@@ -294,9 +295,8 @@ class LiveEngine::Worker {
         }
         if (ab->forwarded) buffered_records += ab->forwarded->size();
       } else if (auto* rp = std::get_if<ReplayReq>(&env->msg)) {
-        salvaged.insert(salvaged.end(),
-                        std::make_move_iterator(rp->deliveries.begin()),
-                        std::make_move_iterator(rp->deliveries.end()));
+        salvaged.insert(salvaged.end(), rp->records.begin(),
+                        rp->records.end());
       }
     }
   }
@@ -353,12 +353,7 @@ class LiveEngine::Worker {
                   side_name(store_side_),
                   static_cast<unsigned>(id_));
     tel::set_thread_label(label);
-    pin_current_thread(engine_.worker_cpu(store_side_, id_));
-    // Drain scratch comes from the engine's recycled pool: a respawned
-    // worker inherits its dead predecessor's buffer instead of paying
-    // an allocation on the recovery path.
-    std::vector<DataMsg> scratch = engine_.msg_pool_.acquire(kDrainBatch);
-    scratch.resize(kDrainBatch);
+    std::vector<DataMsg> scratch(kDrainBatch);
     const std::uint32_t spin_budget = engine_.spin_.spin_iters;
     const std::uint32_t yield_budget =
         spin_budget + engine_.spin_.yield_iters;
@@ -369,10 +364,7 @@ class LiveEngine::Worker {
       while (auto env = queue_.try_pop()) {
         if (!env->barrier.empty()) {
           drain_past(env->barrier, scratch.data());
-          if (crashed_.load(std::memory_order_acquire)) {
-            engine_.msg_pool_.release(std::move(scratch));
-            return;
-          }
+          if (crashed_.load(std::memory_order_acquire)) return;
         }
         std::visit([this](auto&& m) { handle(std::move(m)); },
                    std::move(env->msg));
@@ -392,7 +384,6 @@ class LiveEngine::Worker {
       }
       park();
     }
-    engine_.msg_pool_.release(std::move(scratch));
   }
 
   /// Anything for this worker to do right now? (Data in a lane, a
@@ -500,41 +491,51 @@ class LiveEngine::Worker {
       if (msg.offset < c.load(std::memory_order_relaxed)) return;
       c.store(msg.offset + 1, std::memory_order_relaxed);
     }
-    if (!forwarding_keys_.empty() && forwarding_keys_.count(rec.key)) {
-      forward_buffer_.push_back(rec);
-      note_buffered();
-      return;
-    }
-    if (!held_keys_.empty() && held_keys_.count(rec.key)) {
-      held_buffer_.push_back(rec);
-      note_buffered();
-      return;
-    }
+    if (divert(rec)) return;
     process(rec, msg.pushed_at);
   }
 
   /// Replay deliveries redirected here from another worker's recovery.
-  /// They route through the same divert checks as lane data so a
-  /// concurrent migration of the key still sees them exactly once (the
-  /// forward/held machinery ships them to wherever the key ends up).
   void handle(ReplayReq req) {
-    for (const ReplayDelivery& d : req.deliveries) {
-      if (!forwarding_keys_.empty() && forwarding_keys_.count(d.rec.key)) {
-        forward_buffer_.push_back(d.rec);
-        note_buffered();
-        continue;
-      }
-      if (!held_keys_.empty() && held_keys_.count(d.rec.key)) {
-        held_buffer_.push_back(d.rec);
-        note_buffered();
-        continue;
-      }
-      if (d.store_side) {
-        replay_store(d.rec, /*fresh=*/true);
-      } else {
-        process(d.rec);
-      }
+    for (const Record& rec : req.records) redeliver(rec);
+  }
+
+  /// Park a record whose key is migrating away (forward buffer) or in
+  /// (held buffer) instead of applying it. True when it was parked.
+  bool divert(const Record& rec) {
+    if (!forwarding_keys_.empty() && forwarding_keys_.count(rec.key)) {
+      forward_buffer_.push_back(rec);
+    } else if (!held_keys_.empty() && held_keys_.count(rec.key)) {
+      held_buffer_.push_back(rec);
+    } else {
+      return false;
     }
+    note_buffered();
+    return true;
+  }
+
+  /// Apply a record that comes out of a divert buffer or a replay.
+  /// Store-side records merge seq-deduped — recovery retargets are
+  /// at-least-once, so the tuple may already be here via a migration
+  /// batch or an earlier ReplayReq; probes are processed in full.
+  void apply(const Record& rec) {
+    if (rec.side == store_side_) {
+      replay_store(rec, /*fresh=*/true);
+    } else {
+      process(rec);
+    }
+  }
+
+  /// Apply divert buffers in stream order, not arrival order: buffers
+  /// collected on different paths interleave (a record diverted at the
+  /// source can precede one that took the rerouted path), and a probe
+  /// must see exactly the stores that precede it.
+  void apply_in_stream_order(std::vector<Record> records) {
+    std::stable_sort(records.begin(), records.end(),
+                     [](const Record& a, const Record& b) {
+                       return precedes(a, b);
+                     });
+    for (const auto& rec : records) apply(rec);
   }
 
   /// `pushed_at` == epoch means the record was not sampled for latency
@@ -684,13 +685,7 @@ class LiveEngine::Worker {
     tel::flight_record(tel::FlightEvent::kCtrlRelease, fid(),
                        req.forwarded->size());
     held_keys_.clear();
-    // Replay the divert buffers in stream order, not arrival order: the
-    // forwarded batch and the held buffer interleave (a record diverted
-    // at the source can precede one that took the rerouted path), and a
-    // probe must see exactly the stores that precede it. Store-side
-    // records merge seq-deduped — recovery retargets are at-least-once,
-    // so a tuple may already be here via the absorb batch or a
-    // ReplayReq.
+    // The forwarded batch and the held buffer, merged in stream order.
     std::vector<Record> flush;
     flush.reserve(req.forwarded->size() + held_buffer_.size());
     flush.insert(flush.end(), req.forwarded->begin(),
@@ -698,17 +693,7 @@ class LiveEngine::Worker {
     flush.insert(flush.end(), held_buffer_.begin(), held_buffer_.end());
     held_buffer_.clear();
     note_buffered();
-    std::stable_sort(flush.begin(), flush.end(),
-                     [](const Record& a, const Record& b) {
-                       return precedes(a, b);
-                     });
-    for (const auto& rec : flush) {
-      if (rec.side == store_side_) {
-        replay_store(rec, /*fresh=*/true);
-      } else {
-        process(rec);
-      }
-    }
+    apply_in_stream_order(std::move(flush));
   }
 
   /// Source-side migration abort. Per-key order is preserved: batch
@@ -727,30 +712,15 @@ class LiveEngine::Worker {
     if (req.replay_pending) {
       for (const auto& rec : req.batch->pending) process(rec);
     }
-    // Stream-ordered, store-deduped flush — same reasoning as the
-    // Release handler: collected-forwarded and the local forward buffer
-    // interleave, and retargeted recovery deliveries may have landed
-    // copies of the store-side records here already.
+    // Collected-forwarded and the local forward buffer, merged in
+    // stream order like the Release flush.
     std::vector<Record> flush;
-    if (req.forwarded) {
-      flush.insert(flush.end(), req.forwarded->begin(),
-                   req.forwarded->end());
-    }
+    if (req.forwarded) flush = *req.forwarded;
     flush.insert(flush.end(), forward_buffer_.begin(),
                  forward_buffer_.end());
     forward_buffer_.clear();
     note_buffered();
-    std::stable_sort(flush.begin(), flush.end(),
-                     [](const Record& a, const Record& b) {
-                       return precedes(a, b);
-                     });
-    for (const auto& rec : flush) {
-      if (rec.side == store_side_) {
-        replay_store(rec, /*fresh=*/true);
-      } else {
-        process(rec);
-      }
-    }
+    apply_in_stream_order(std::move(flush));
   }
 
   void handle(CheckpointReq) {
@@ -851,12 +821,8 @@ class LiveEngine::Worker {
 LiveEngine::LiveEngine(const LiveConfig& cfg)
     : cfg_(cfg),
       clk_(cfg.clock != nullptr ? cfg.clock : &real_clock()),
-      topo_(Topology::detect()),
-      plan_(PlacementPlan::plan(cfg.placement, topo_, cfg.instances,
-                                cfg.max_producers)),
       // Always-on threads: one worker per instance per side + monitor.
-      spin_(SpinPolicy::derive(cfg.placement, topo_,
-                               2 * cfg.instances + 1)) {
+      spin_(SpinPolicy::derive(Topology::detect(), 2 * cfg.instances + 1)) {
   route_table_.store(new RouteTable{}, std::memory_order_release);
   const std::size_t n_slots = cfg_.max_producers + 1;  // +1 fallback
   producer_slots_ = std::vector<ProducerSlot>(n_slots);
@@ -884,11 +850,11 @@ LiveEngine::LiveEngine(const LiveConfig& cfg)
       set->lanes.reserve(n_slots);
       for (std::size_t p = 0; p < n_slots; ++p) {
         set->lanes.push_back(
-            std::make_unique<DataLane>(cfg_.lane_capacity));
+            std::make_unique<DataLane>(kLaneCapacity));
       }
       workers_[g].push_back(std::make_unique<Worker>(
-          *this, i, static_cast<Side>(g), cfg_.queue_capacity,
-          cfg_.window_subwindows, *set, ingest_parts));
+          *this, i, static_cast<Side>(g), cfg_.window_subwindows, *set,
+          ingest_parts));
       lane_sets_[g].push_back(std::move(set));
     }
   }
@@ -921,9 +887,6 @@ int LiveEngine::register_producer() {
   const std::uint32_t i =
       producers_registered_.fetch_add(1, std::memory_order_relaxed);
   if (i >= cfg_.max_producers) return kUnregistered;  // slots exhausted
-  if (cfg_.placement.pin_producers && i < plan_.producer_cpu.size()) {
-    pin_current_thread(plan_.producer_cpu[i]);
-  }
   return static_cast<int>(i);
 }
 
@@ -988,12 +951,11 @@ void LiveEngine::lane_push_batch(Side group, InstanceId id,
                            lane_idx);
         closed_logged = true;
       }
-      if (log_ != nullptr && cfg_.ingest.replay &&
-          !finished_.load(std::memory_order_acquire)) {
-        // Ingest replay mode: the records are already durable in the
-        // log. Wait for the respawn instead of dropping — the recovery
-        // pass replays every logged delivery up to the end-offset it
-        // reads before this slot reopens, and anything this push lands
+      if (log_ != nullptr && !finished_.load(std::memory_order_acquire)) {
+        // Ingest mode: the records are already durable in the log.
+        // Wait for the respawn instead of dropping — the recovery pass
+        // replays every logged delivery up to the end-offset it reads
+        // before this slot reopens, and anything this push lands
         // afterwards is consumed live (or recognized as covered by the
         // fresh worker's watermark). This wait is what turns bounded
         // loss into records_dropped == 0.
@@ -1070,7 +1032,6 @@ std::size_t LiveEngine::push_batch(const Record* recs, std::size_t n,
   // wait_for_producers() for the ordering argument.
   slot.cs.fetch_add(1, std::memory_order_seq_cst);
   const RouteTable* rt = route_table_.load(std::memory_order_seq_cst);
-  const std::uint32_t every = cfg_.latency_sample_every;
   const std::size_t insts = cfg_.instances;
   std::size_t delivered = 0;
 
@@ -1079,13 +1040,11 @@ std::size_t LiveEngine::push_batch(const Record* recs, std::size_t n,
   // field is safe.
   const auto stamp_maybe = [&]() {
     auto stamp = kUnsampled;
-    if (every != 0) {
-      if (slot.sample_countdown == 0) {
-        stamp = std::chrono::steady_clock::now();  // fastjoin-lint: allow(protocol-clock) latency telemetry
-        slot.sample_countdown = every - 1;
-      } else {
-        --slot.sample_countdown;
-      }
+    if (slot.sample_countdown == 0) {
+      stamp = std::chrono::steady_clock::now();  // fastjoin-lint: allow(protocol-clock) latency telemetry
+      slot.sample_countdown = kLatencySampleEvery - 1;
+    } else {
+      --slot.sample_countdown;
     }
     return stamp;
   };
@@ -1207,14 +1166,14 @@ void LiveEngine::wait_for_producers() {
       if (++tries < 64) {
         std::this_thread::yield();
       } else {
-        // Replay mode blocks a producer on a crashed worker's closed
+        // Ingest mode blocks a producer on a crashed worker's closed
         // slot *inside* its critical section (the record is already
         // durable; the producer waits for the respawn). The supervisor
         // is this very thread — so respawn crashed workers while
         // waiting the section out, or neither side could progress when
         // a crash lands between a supervision pass and a routing
         // publish.
-        if (log_ != nullptr && cfg_.ingest.replay) supervise();
+        if (log_ != nullptr) supervise();
         clk_->sleep_for(jittered(std::chrono::microseconds(50)));
       }
     }
@@ -1418,7 +1377,7 @@ bool LiveEngine::try_migrate(Side group) {
   // bucket; without the log nothing re-drives those pairs, so the batch
   // is superset-charged to the ledger (the re-merge itself still lands
   // and seq-dedups).
-  const bool can_replay = log_ != nullptr && cfg_.ingest.replay;
+  const bool can_replay = log_ != nullptr;
   auto send_abort = [&](bool replay_pending,
                         std::shared_ptr<std::vector<Record>> fwd) {
     if (!worker(group, pair->src)
@@ -1669,7 +1628,7 @@ void LiveEngine::respawn(Side group, InstanceId id) {
   tel::ScopedSpan span("respawn", "fault");
   span.arg("side", g);
   span.arg("instance", id);
-  const bool replaying = log_ != nullptr && cfg_.ingest.replay;
+  const bool replaying = log_ != nullptr;
   Worker* old = workers_[g][id].get();
   old->stop_and_join();
   // Fold the dead worker's counters into the retired aggregate so the
@@ -1691,7 +1650,7 @@ void LiveEngine::respawn(Side group, InstanceId id) {
   buffered_lost_ += old->buffered_count();
   {
     std::uint64_t dead_buffered = 0;
-    std::vector<ReplayDelivery> salvaged;
+    std::vector<Record> salvaged;
     old->drain_dead_queue(dead_buffered, salvaged);
     buffered_lost_ += dead_buffered;
     if (!salvaged.empty()) {
@@ -1704,18 +1663,16 @@ void LiveEngine::respawn(Side group, InstanceId id) {
         // for its own respawn, instead of leaking the deliveries (or
         // leaving a wedged recovery for the migration_timeout
         // deadlock-breaker to clean up).
-        std::vector<std::vector<ReplayDelivery>> by_owner(
-            workers_[g].size());
-        for (auto& d : salvaged) {
-          by_owner[route_current(group, d.rec.key)].push_back(
-              std::move(d));
+        std::vector<std::vector<Record>> by_owner(workers_[g].size());
+        for (const Record& rec : salvaged) {
+          by_owner[route_current(group, rec.key)].push_back(rec);
         }
         for (InstanceId t = 0; t < by_owner.size(); ++t) {
           auto& batch = by_owner[t];
           if (batch.empty()) continue;
           if (t != id && !workers_[g][t]->crashed()) {
             ReplayReq rr;
-            rr.deliveries = batch;  // copy: re-parked on a lost race
+            rr.records = batch;  // copy: re-parked on a lost race
             if (workers_[g][t]->send(std::move(rr))) continue;
           }
           // This very slot (flushed to the fresh worker below), a dead
@@ -1755,7 +1712,6 @@ void LiveEngine::respawn(Side group, InstanceId id) {
   const std::uint32_t ingest_parts =
       log_ != nullptr ? log_->partitions() : 0;
   auto fresh = std::make_unique<Worker>(*this, id, group,
-                                        cfg_.queue_capacity,
                                         cfg_.window_subwindows, ls,
                                         ingest_parts);
   slot_gen_[g][id]++;
@@ -1837,8 +1793,8 @@ void LiveEngine::respawn(Side group, InstanceId id) {
   // it was down.
   if (replaying && !retarget_backlog_[g][id].empty()) {
     ReplayReq rr;
-    rr.deliveries = retarget_backlog_[g][id];  // copy: kept parked on
-                                               // a lost race
+    rr.records = retarget_backlog_[g][id];  // copy: kept parked on a
+                                            // lost race
     if (workers_[g][id]->send(std::move(rr))) {
       retarget_backlog_[g][id].clear();
     }
@@ -1896,15 +1852,15 @@ void LiveEngine::replay_worker(Side group, InstanceId id, Worker& fresh,
   };
   // Retargeted deliveries, grouped by current owner and flushed in
   // batches so a long replay never builds one giant message.
-  std::vector<std::vector<ReplayDelivery>> retarget(workers_[g].size());
+  std::vector<std::vector<Record>> retarget(workers_[g].size());
   auto flush_retarget = [&](InstanceId tid) {
     auto& pending = retarget[tid];
     if (pending.empty()) return;
     Worker& tw = *workers_[g][tid];
     if (!tw.crashed()) {
       ReplayReq rr;
-      rr.deliveries = pending;  // copy: re-parked if the send loses
-                                // the race with a fresh crash
+      rr.records = pending;  // copy: re-parked if the send loses the
+                             // race with a fresh crash
       if (tw.send(std::move(rr))) {
         pending.clear();
         return;
@@ -1960,7 +1916,7 @@ void LiveEngine::replay_worker(Side group, InstanceId id, Worker& fresh,
         // (ReplayReq store deliveries seq-dedup), so the at-least-once
         // retarget is safe; probes stay band-gated below because
         // re-serving one would mint duplicate emissions.
-        retarget[cur].push_back(ReplayDelivery{rec, true});
+        retarget[cur].push_back(rec);
         ++replay_retargeted_;
         ++records_replayed_;
         if (retarget[cur].size() >= 1024) flush_retarget(cur);
@@ -1973,10 +1929,10 @@ void LiveEngine::replay_worker(Side group, InstanceId id, Worker& fresh,
       } else {
         const InstanceId cur = route_current(group, rec.key);
         if (cur == id) {
-          fresh.replay_probe(rec);
+          fresh.redeliver(rec);
           ++records_replayed_;
         } else {
-          retarget[cur].push_back(ReplayDelivery{rec, false});
+          retarget[cur].push_back(rec);
           ++replay_retargeted_;
           ++records_replayed_;
           if (retarget[cur].size() >= 1024) flush_retarget(cur);
@@ -1998,7 +1954,7 @@ void LiveEngine::replay_worker(Side group, InstanceId id, Worker& fresh,
 }
 
 void LiveEngine::truncate_ingest() {
-  if (log_ == nullptr || !cfg_.ingest.replay) return;
+  if (log_ == nullptr) return;
   const std::uint32_t nparts = log_->partitions();
   std::vector<std::uint64_t> safe(nparts,
                                   std::numeric_limits<std::uint64_t>::max());
@@ -2023,7 +1979,6 @@ void LiveEngine::truncate_ingest() {
 
 void LiveEngine::monitor_loop() {
   tel::set_thread_label("monitor");
-  pin_current_thread(plan_.monitor_cpu);
   auto next_window = clk_->now() + cfg_.subwindow_len;
   auto next_checkpoint = clk_->now() + cfg_.checkpoint_period;
   while (!stopping_.load(std::memory_order_relaxed)) {
@@ -2074,10 +2029,10 @@ LiveStats LiveEngine::finish() {
   stopping_.store(true, std::memory_order_release);
   if (monitor_thread_.joinable()) monitor_thread_.join();
 
-  // With replay enabled, recover any worker that died after the
+  // With ingest enabled, recover any worker that died after the
   // monitor's last supervision pass so its log partition range gets
   // replayed and its lane residue is not silently discarded.
-  if (log_ != nullptr && cfg_.ingest.replay) supervise();
+  if (log_ != nullptr) supervise();
 
   // Poison every data lane: producers fail from here on, workers drain
   // what is left and then see closed-and-empty. Ring each doorbell so a

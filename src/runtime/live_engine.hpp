@@ -89,7 +89,6 @@
 #include <variant>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/clock.hpp"
 #include "common/hash.hpp"
 #include "common/histogram.hpp"
@@ -109,6 +108,10 @@ namespace fastjoin {
 /// disabled).
 inline constexpr std::uint32_t kNoIngestPartition = 0xffffffffu;
 
+/// Every Nth record per producer carries a latency timestamp; the
+/// LiveStats latency figures cover that sampled population.
+inline constexpr std::uint32_t kLatencySampleEvery = 64;
+
 /// Points in the live migration protocol where the chaos hook fires
 /// (monitor thread). Tests crash workers here to exercise every abort
 /// path.
@@ -127,20 +130,10 @@ struct LiveConfig {
   PlannerConfig planner;        ///< theta etc.
   std::chrono::milliseconds monitor_period{20};
   double min_heaviest_load = 1000.0;
-  /// Capacity bound of each per-worker control queue.
-  std::size_t queue_capacity = 1 << 15;
   /// Registered-producer slots (each gets a private SPSC lane per
   /// worker). Callers beyond this many, and unregistered callers, share
   /// the mutex-serialized fallback lane.
   std::uint32_t max_producers = 8;
-  /// Capacity of each data lane (records), rounded up to a power of
-  /// two. Full lanes exert backpressure on the producer.
-  std::size_t lane_capacity = 1 << 12;
-  /// Sample a latency timestamp on every Nth record per producer
-  /// (1 = every record, the pre-optimization behavior; 0 = never).
-  /// LiveStats::mean_latency_us / p99_latency_us are computed from the
-  /// sampled population and stay populated for any N >= 1.
-  std::uint32_t latency_sample_every = 64;
   /// Artificial nanoseconds of work per match (lets small examples
   /// exhibit measurable load without gigantic inputs). 0 = none.
   std::uint64_t work_per_match_ns = 0;
@@ -178,19 +171,11 @@ struct LiveConfig {
   std::function<void(Side group, InstanceId src, InstanceId dst,
                      MigrationPhase phase)>
       chaos;
-  /// Thread placement and idle-spin discipline: optional core pinning
-  /// for workers/producers/monitor (a topology-aware layout computed at
-  /// start) and the data-plane spin budget. The default pins nothing
-  /// and auto-tunes spinning: when the engine's threads outnumber the
-  /// usable CPUs, idle loops park immediately on the lane doorbell
-  /// instead of burning the quantum the busy thread needs.
-  PlacementConfig placement;
   /// StreamLog ingest. When enabled, the engine owns a StreamLog with
   /// one partition per producer lane (max_producers + 1; the
   /// `partitions` field is overridden), every push is appended before
-  /// it is laned, and — with `ingest.replay` — crashed workers are
-  /// replayed from their last checkpointed offsets instead of dropping
-  /// the crash window.
+  /// it is laned, and crashed workers are replayed from their last
+  /// checkpointed offsets instead of dropping the crash window.
   IngestConfig ingest;
 };
 
@@ -200,8 +185,8 @@ struct LiveStats {
   /// before reaching a live worker: pushes while the engine was not
   /// running, pushes to a crashed worker's closed lanes, and lane
   /// residue discarded at respawn.
-  /// With ingest replay enabled, every one of those paths is covered by
-  /// the log and this reads 0; the remaining (bounded, documented) loss
+  /// With ingest enabled, every one of those paths is covered by the
+  /// log and this reads 0; the remaining (bounded, documented) loss
   /// is records that died *inside* migration machinery — see
   /// `buffered_lost`.
   std::uint64_t records_dropped = 0;
@@ -218,9 +203,9 @@ struct LiveStats {
   std::size_t checkpoints = 0;       ///< snapshot rounds broadcast
   double mean_recovery_ms = 0.0;     ///< crash -> respawned, mean
   /// Queue+service latency per probe, over the sampled records only
-  /// (LiveConfig::latency_sample_every); 0 when sampling is disabled.
-  /// Percentiles come from the merged per-worker telemetry histogram
-  /// (common/histogram geometry), not a raw sample vector.
+  /// (one in kLatencySampleEvery per producer). Percentiles come from
+  /// the merged per-worker telemetry histogram (common/histogram
+  /// geometry), not a raw sample vector.
   double mean_latency_us = 0.0;
   double p50_latency_us = 0.0;
   double p99_latency_us = 0.0;
@@ -361,16 +346,12 @@ class LiveEngine {
   /// Snapshot the store for crash recovery (lane-prefix consistent).
   struct CheckpointReq {};
   struct AdvanceWindowReq {};
-  /// One logged delivery redirected during crash replay to the
-  /// instance that now owns the key (the crashed worker's replay pass
-  /// found the key migrated away). Only "fresh" deliveries — ones the
-  /// crashed worker verifiably never processed — are ever retargeted.
-  struct ReplayDelivery {
-    Record rec;
-    bool store_side = false;
-  };
+  /// Logged deliveries redirected during crash replay to the instance
+  /// that now owns their keys (the crashed worker's replay pass found
+  /// the keys migrated away). A record is a store delivery exactly when
+  /// its side is the receiving worker's store side.
   struct ReplayReq {
-    std::vector<ReplayDelivery> deliveries;
+    std::vector<Record> records;
   };
   /// A data record with its push() timestamp when it was sampled for
   /// latency measurement (pushed_at == epoch means unsampled). In
@@ -512,28 +493,13 @@ class LiveEngine {
   /// seq_cst fence pairs with the arm sequence in the worker's park;
   /// see LaneSet.
   static void ring_doorbell(LaneSet& ls);
-  /// CPU this worker thread should pin to (-1 = unpinned).
-  int worker_cpu(Side group, InstanceId id) const {
-    const std::size_t w =
-        static_cast<std::size_t>(group) * cfg_.instances + id;
-    return w < plan_.worker_cpu.size() ? plan_.worker_cpu[w] : -1;
-  }
 
   LiveConfig cfg_;
   Clock* clk_;  ///< cfg_.clock or the real clock; never null
-  /// Placement products, computed once in the constructor: what the
-  /// process may run on, where each thread goes, and how hard idle
-  /// loops may spin before parking (collapsed to zero when the engine's
-  /// threads outnumber the CPUs — the oversubscription regression).
-  Topology topo_;
-  PlacementPlan plan_;
+  /// How hard idle loops may spin before parking, derived once from the
+  /// detected topology (collapsed to zero when the engine's threads
+  /// outnumber the CPUs — the oversubscription regression).
   SpinPolicy spin_;
-  /// Recycled drain-scratch buffers. Workers acquire at thread start
-  /// and release at exit, so a respawned worker reuses its dead
-  /// predecessor's buffer (cross-thread return) instead of paying a
-  /// fresh allocation on the recovery path. mutable: internally
-  /// synchronized, and workers only hold a const engine reference.
-  mutable BufferPool<DataMsg> msg_pool_;
   /// Backoff jitter source for the monitor's supervised waits
   /// (monitor thread only; producers use a thread-local twin).
   Xoshiro256 backoff_rng_{0x9e3779b97f4a7c15ull};
@@ -575,7 +541,7 @@ class LiveEngine {
   /// The remaining fields are monitor-thread-only (finish() reads them
   /// after joining the monitor).
   std::unique_ptr<StreamLog> log_;
-  std::vector<std::vector<ReplayDelivery>> retarget_backlog_[2];
+  std::vector<std::vector<Record>> retarget_backlog_[2];
   std::uint64_t records_replayed_ = 0;
   std::uint64_t replay_suppressed_ = 0;
   std::uint64_t replay_retargeted_ = 0;

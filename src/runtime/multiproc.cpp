@@ -17,6 +17,13 @@ namespace {
 
 using net::MsgType;
 
+/// Entries per kData frame.
+constexpr std::size_t kDataFrameEntries = 256;
+/// How long start() waits for every spawned worker's handshake.
+constexpr std::chrono::milliseconds kSpawnConnectTimeout{10'000};
+/// A migration still short of its epilogue after this long aborts.
+constexpr std::chrono::milliseconds kMigrationTimeout{5'000};
+
 std::uint16_t wire_type(MsgType t) { return static_cast<std::uint16_t>(t); }
 
 std::string default_socket_path() {
@@ -85,7 +92,6 @@ bool MultiprocRouter::start(std::string* err) {
 
   IngestConfig ic = cfg_.ingest;
   ic.enabled = true;
-  ic.replay = true;
   ic.partitions = 1;  // the router is the log's only producer
   log_ = std::make_unique<StreamLog>(ic);
 
@@ -101,7 +107,7 @@ bool MultiprocRouter::start(std::string* err) {
   }
 
   const auto deadline =
-      std::chrono::steady_clock::now() + cfg_.spawn_connect_timeout;
+      std::chrono::steady_clock::now() + kSpawnConnectTimeout;
   for (;;) {
     bool all = true;
     for (const WorkerSlot& s : workers_) {
@@ -198,7 +204,7 @@ void MultiprocRouter::deliver(std::uint32_t w, std::uint64_t offset,
   if (!s.alive) return;  // sits in the log; replay covers it at reconnect
   s.pending.entries.push_back(net::DataEntry{offset, flags, rec});
   stats_.deliveries_sent += deliver_halves(flags);
-  if (s.pending.entries.size() >= cfg_.data_batch) flush_pending(w);
+  if (s.pending.entries.size() >= kDataFrameEntries) flush_pending(w);
 }
 
 void MultiprocRouter::flush_pending(std::uint32_t w) {
@@ -677,7 +683,7 @@ void MultiprocRouter::restore_and_replay(std::uint32_t w) {
       if ((flags & (net::kDeliverStore | net::kDeliverProbe)) == 0) continue;
       s.pending.entries.push_back(net::DataEntry{lr.offset, flags, lr.rec});
       ++stats_.replayed_entries;
-      if (s.pending.entries.size() >= cfg_.data_batch) flush_pending(w);
+      if (s.pending.entries.size() >= kDataFrameEntries) flush_pending(w);
     }
   }
   flush_pending(w);
@@ -819,7 +825,7 @@ void MultiprocRouter::start_migration(QueuedMigration q) {
 void MultiprocRouter::arm_migration_timer() {
   const std::uint64_t id = mig_->id;
   mig_->timer = loop_.add_timer(
-      std::chrono::steady_clock::now() + cfg_.migration_timeout,
+      std::chrono::steady_clock::now() + kMigrationTimeout,
       [this, id] {
         if (mig_ && mig_->id == id &&
             mig_->phase != Migration::Phase::kEpilogue) {

@@ -88,15 +88,11 @@ struct MultiprocConfig {
   bool respawn = true;
   /// Drop log segments below the minimum checkpointed offset.
   bool truncate_log = true;
-  /// Entries per kData frame.
-  std::size_t data_batch = 256;
   /// StreamLog shape (partitions is forced to 1: the router is the
   /// only producer). backend kFile makes the substrate durable on
   /// disk; kMemory is enough for worker-crash replay since the log
   /// lives in the router, which is outside the fault model.
   IngestConfig ingest;
-  std::chrono::milliseconds spawn_connect_timeout{10'000};
-  std::chrono::milliseconds migration_timeout{5'000};
   /// Serving front door (src/server/): when true the router also
   /// accepts client connections on serve_cfg.endpoint from the same
   /// event loop. Clients ingest through the admission-controlled
@@ -136,7 +132,7 @@ class MultiprocRouter {
 
   /// Bind, spawn all workers, and complete their handshakes. False
   /// (with *err) when the bind fails, a spawn fails, or a worker does
-  /// not check in within spawn_connect_timeout.
+  /// not check in within 10 s.
   bool start(std::string* err = nullptr);
 
   /// Resolved endpoint string (kernel-chosen port / temp path filled).

@@ -3,7 +3,6 @@
 #include <thread>
 
 #if defined(__linux__)
-#include <pthread.h>
 #include <sched.h>
 #endif
 
@@ -30,82 +29,17 @@ Topology Topology::detect() {
   return t;
 }
 
-const char* pin_policy_name(PinPolicy p) {
-  switch (p) {
-    case PinPolicy::kNone:
-      return "none";
-    case PinPolicy::kCompact:
-      return "compact";
-    case PinPolicy::kSpread:
-      return "spread";
-  }
-  return "?";
-}
-
-SpinPolicy SpinPolicy::derive(const PlacementConfig& cfg,
-                              const Topology& topo,
+SpinPolicy SpinPolicy::derive(const Topology& topo,
                               std::uint32_t engine_threads) {
   SpinPolicy p;
   p.oversubscribed = engine_threads > topo.cpus();
-  if (cfg.spin_iters != PlacementConfig::kSpinAuto) {
-    p.spin_iters = cfg.spin_iters;
-  } else if (p.oversubscribed) {
+  if (p.oversubscribed) {
     // Every busy iteration runs INSTEAD of the peer we are waiting on;
     // park immediately and let the scheduler hand the core over.
     p.spin_iters = 0;
+    p.yield_iters = 2;
   }
-  if (p.oversubscribed) p.yield_iters = 2;
   return p;
-}
-
-PlacementPlan PlacementPlan::plan(const PlacementConfig& cfg,
-                                  const Topology& topo,
-                                  std::uint32_t instances,
-                                  std::uint32_t max_producers) {
-  PlacementPlan out;
-  out.worker_cpu.assign(2 * static_cast<std::size_t>(instances), -1);
-  out.producer_cpu.assign(max_producers, -1);
-  if (cfg.pin == PinPolicy::kNone || topo.cpu_ids.empty()) return out;
-
-  const std::size_t ncpu = topo.cpu_ids.size();
-  const std::size_t nworkers = out.worker_cpu.size();
-  // Workers first. kCompact fills CPUs in order, pairing worker i of
-  // side R with worker i of side S on neighboring slots (they carry
-  // the two halves of the same record flow). kSpread strides so each
-  // worker gets a whole CPU while they last.
-  const std::size_t stride =
-      cfg.pin == PinPolicy::kSpread && nworkers > 0 && ncpu > nworkers
-          ? ncpu / nworkers
-          : 1;
-  for (std::size_t w = 0; w < nworkers; ++w) {
-    out.worker_cpu[w] = topo.cpu_ids[(w * stride) % ncpu];
-  }
-  // Producers fill from the top end so they only share with workers
-  // once the CPUs run out; on a big-enough box they get their own.
-  for (std::size_t p = 0; p < out.producer_cpu.size(); ++p) {
-    out.producer_cpu[p] = topo.cpu_ids[ncpu - 1 - (p % ncpu)];
-  }
-  if (cfg.pin_monitor) {
-    // The monitor is periodic and light: co-locate with the last
-    // producer slot rather than costing a worker CPU.
-    out.monitor_cpu = topo.cpu_ids[ncpu - 1];
-  }
-  if (!cfg.pin_producers) {
-    out.producer_cpu.assign(max_producers, -1);
-  }
-  return out;
-}
-
-bool pin_current_thread(int cpu) {
-  if (cpu < 0) return false;
-#if defined(__linux__)
-  cpu_set_t mask;
-  CPU_ZERO(&mask);
-  CPU_SET(cpu, &mask);
-  return pthread_setaffinity_np(pthread_self(), sizeof(mask), &mask) == 0;
-#else
-  return false;
-#endif
 }
 
 }  // namespace fastjoin

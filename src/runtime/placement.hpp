@@ -1,27 +1,13 @@
-// Placement: CPU topology detection, a topology-aware default layout
-// for live-engine threads, and optional core pinning.
+// Placement: CPU topology detection and the idle-spin discipline that
+// follows from it.
 //
-// Two distinct products come out of this header, and the second
-// matters even on machines where the first is a no-op:
-//
-//  * A PlacementPlan — which CPU each worker / producer / monitor
-//    thread should land on, computed once at engine start from the
-//    detected topology. Workers are laid out compactly so the two
-//    instances that exchange a producer's store/probe halves share a
-//    cache domain; producers fill in round-robin from the top so they
-//    collide with workers as late as possible.
-//  * A SpinPolicy — how aggressively data-plane idle loops may burn
-//    cycles before blocking. This is derived from the ratio of engine
-//    threads to usable CPUs: on an oversubscribed box (the common CI
-//    shape: one core, dozens of threads) every spin iteration steals
-//    the quantum from the thread we are waiting ON, so the policy
-//    collapses spinning to zero and threads go straight to parking.
-//    The multi-producer regression this PR fixes was exactly that
-//    failure mode.
-//
-// Pinning is Linux-only (pthread_setaffinity_np); elsewhere
-// pin_current_thread() reports failure and the engine runs unpinned —
-// placement is advisory, never load-bearing for correctness.
+// A SpinPolicy says how aggressively data-plane idle loops may burn
+// cycles before blocking. It is derived from the ratio of engine
+// threads to usable CPUs: on an oversubscribed box (the common CI
+// shape: one core, dozens of threads) every spin iteration steals the
+// quantum from the thread we are waiting ON, so the policy collapses
+// spinning to zero and threads go straight to parking. The
+// multi-producer regression this fixed was exactly that failure mode.
 #pragma once
 
 #include <cstdint>
@@ -42,57 +28,16 @@ struct Topology {
   static Topology detect();
 };
 
-/// Whether (and how) engine threads are pinned to cores.
-enum class PinPolicy : std::uint8_t {
-  kNone,     ///< never pin (default: correct everywhere, fast enough)
-  kCompact,  ///< fill CPUs in order; related workers share a core/cache
-  kSpread,   ///< stride workers across CPUs; maximizes per-thread cache
-};
-
-const char* pin_policy_name(PinPolicy p);
-
-/// LiveConfig knobs for placement; all defaults preserve the
-/// pre-placement behavior except spin auto-tuning, which only kicks in
-/// when the thread count exceeds the CPU count.
-struct PlacementConfig {
-  PinPolicy pin = PinPolicy::kNone;
-  bool pin_producers = false;  ///< pin caller threads at register_producer()
-  bool pin_monitor = false;
-  /// Data-plane idle spin iterations before yielding; kSpinAuto picks
-  /// 0 when the engine is oversubscribed and a small budget otherwise.
-  static constexpr std::uint32_t kSpinAuto = 0xffffffffu;
-  std::uint32_t spin_iters = kSpinAuto;
-};
-
 /// Idle-loop discipline handed to every Backoff in the data plane.
 struct SpinPolicy {
   std::uint32_t spin_iters = 4;   ///< busy iterations before yielding
   std::uint32_t yield_iters = 20; ///< sched_yield rounds before parking
   bool oversubscribed = false;    ///< threads > usable CPUs
 
-  /// Derive from config + topology for an engine running
-  /// `engine_threads` always-on threads (workers + monitor).
-  static SpinPolicy derive(const PlacementConfig& cfg,
-                           const Topology& topo,
+  /// Derive from the topology for an engine running `engine_threads`
+  /// always-on threads (workers + monitor).
+  static SpinPolicy derive(const Topology& topo,
                            std::uint32_t engine_threads);
 };
-
-/// The per-thread CPU assignment for one engine. Entries are CPU ids
-/// from Topology::cpu_ids, or -1 for "leave unpinned".
-struct PlacementPlan {
-  std::vector<int> worker_cpu;    ///< [2 * instances], side-major
-  std::vector<int> producer_cpu;  ///< [max_producers]
-  int monitor_cpu = -1;
-
-  static PlacementPlan plan(const PlacementConfig& cfg,
-                            const Topology& topo,
-                            std::uint32_t instances,
-                            std::uint32_t max_producers);
-};
-
-/// Pin the calling thread to `cpu` (a Topology cpu_id). Returns false
-/// when cpu < 0, pinning is unsupported on this platform, or the
-/// syscall fails; the caller just runs unpinned.
-bool pin_current_thread(int cpu);
 
 }  // namespace fastjoin

@@ -1,10 +1,10 @@
 // Deterministic discrete-event simulator.
 //
-// The cluster substrate for every experiment: join instances are Servers
-// (simnet/server.hpp), inter-node transfers are Links (simnet/link.hpp),
-// and everything executes in virtual time on this event queue. Events at
-// equal timestamps run in scheduling order, so a run is a pure function
-// of its seeds.
+// The cluster substrate for every experiment: each JoinInstance is its
+// own single-server station, the engine schedules dispatch and transfer
+// delays itself, and everything executes in virtual time on this event
+// queue. Events at equal timestamps run in scheduling order, so a run is
+// a pure function of its seeds.
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -137,60 +136,6 @@ TEST(ArenaAllocator, UnorderedMapNodesLiveOnArena) {
   EXPECT_EQ(arena.stats().frees,
             arena.stats().bump_allocs + arena.stats().freelist_allocs +
                 arena.stats().fallback_allocs);
-}
-
-TEST(BufferPool, AcquireReleaseRecyclesCapacity) {
-  BufferPool<int> pool;
-  std::vector<int> buf = pool.acquire(128);
-  EXPECT_EQ(pool.misses(), 1u);
-  buf.assign(100, 7);
-  const int* data = buf.data();
-  pool.release(std::move(buf));
-  EXPECT_EQ(pool.pooled(), 1u);
-  std::vector<int> again = pool.acquire(64);
-  EXPECT_EQ(pool.reused(), 1u);
-  EXPECT_TRUE(again.empty());      // recycled buffers come back cleared
-  EXPECT_EQ(again.data(), data);   // ...but keep their backing storage
-  EXPECT_GE(again.capacity(), 100u);
-}
-
-TEST(BufferPool, CrossThreadReturnIsReissued) {
-  // The live-engine pattern: a worker thread dies holding its drain
-  // scratch, releases it on the way out, and the respawned worker (a
-  // different thread) acquires the same storage.
-  BufferPool<std::uint64_t> pool;
-  std::vector<std::uint64_t> scratch = pool.acquire(256);
-  scratch.push_back(42);
-  const std::uint64_t* storage = scratch.data();
-
-  std::thread dying([&pool, buf = std::move(scratch)]() mutable {
-    pool.release(std::move(buf));
-  });
-  dying.join();
-  ASSERT_EQ(pool.pooled(), 1u);
-
-  std::vector<std::uint64_t> reissued;
-  std::thread respawned([&pool, &reissued] {
-    reissued = pool.acquire(16);
-  });
-  respawned.join();
-  EXPECT_EQ(pool.reused(), 1u);
-  EXPECT_EQ(reissued.data(), storage);
-}
-
-TEST(BufferPool, DropsBuffersBeyondMaxPooled) {
-  BufferPool<int> pool(/*max_pooled=*/1);
-  std::vector<int> a = pool.acquire(8);
-  std::vector<int> b = pool.acquire(8);
-  pool.release(std::move(a));
-  pool.release(std::move(b));  // beyond the cap: freed, not pooled
-  EXPECT_EQ(pool.pooled(), 1u);
-}
-
-TEST(BufferPool, EmptyBuffersAreNotPooled) {
-  BufferPool<int> pool;
-  pool.release(std::vector<int>{});
-  EXPECT_EQ(pool.pooled(), 0u);
 }
 
 }  // namespace

@@ -264,15 +264,8 @@ TEST(BoundedQueue, BasicPushPop) {
   EXPECT_TRUE(q.push(1));
   EXPECT_TRUE(q.push(2));
   EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_EQ(q.pop().value(), 2);
-}
-
-TEST(BoundedQueue, TryPushRespectsCapacity) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));
+  EXPECT_EQ(q.try_pop().value(), 1);
+  EXPECT_EQ(q.try_pop().value(), 2);
 }
 
 TEST(BoundedQueue, CloseDrainsThenEnds) {
@@ -281,19 +274,9 @@ TEST(BoundedQueue, CloseDrainsThenEnds) {
   q.push(2);
   q.close();
   EXPECT_FALSE(q.push(3));  // closed
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_FALSE(q.pop().has_value());  // drained + closed
-}
-
-TEST(BoundedQueue, BlockingPopWakesOnPush) {
-  BoundedQueue<int> q(4);
-  std::thread t([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    q.push(42);
-  });
-  EXPECT_EQ(q.pop().value(), 42);
-  t.join();
+  EXPECT_EQ(q.try_pop().value(), 1);
+  EXPECT_EQ(q.try_pop().value(), 2);
+  EXPECT_FALSE(q.try_pop().has_value());  // drained + closed
 }
 
 TEST(BoundedQueue, BackpressureBlocksUntilSpace) {
@@ -301,11 +284,11 @@ TEST(BoundedQueue, BackpressureBlocksUntilSpace) {
   q.push(1);
   std::thread t([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    EXPECT_EQ(q.pop().value(), 1);
+    EXPECT_EQ(q.try_pop().value(), 1);
   });
   EXPECT_TRUE(q.push(2));  // blocks until the pop frees a slot
   t.join();
-  EXPECT_EQ(q.pop().value(), 2);
+  EXPECT_EQ(q.try_pop().value(), 2);
 }
 
 TEST(BoundedQueue, MpmcStress) {
@@ -342,64 +325,9 @@ TEST(BoundedQueue, MpmcStress) {
 TEST(BoundedQueue, MoveOnlyPayload) {
   BoundedQueue<std::unique_ptr<int>> q(2);
   q.push(std::make_unique<int>(5));
-  auto v = q.pop();
+  auto v = q.try_pop();
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(**v, 5);
-}
-
-TEST(BoundedQueue, PopForReturnsItemImmediately) {
-  BoundedQueue<int> q(4);
-  q.push(7);
-  const auto v = q.pop_for(std::chrono::milliseconds(100));
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 7);
-}
-
-TEST(BoundedQueue, PopForTimesOutOnEmptyOpenQueue) {
-  BoundedQueue<int> q(4);
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto v = q.pop_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(v.has_value());
-  EXPECT_FALSE(q.closed());  // distinguishes timeout from shutdown
-  EXPECT_GE(std::chrono::steady_clock::now() - t0,
-            std::chrono::milliseconds(20));
-}
-
-TEST(BoundedQueue, PopForDrainsThenSignalsClosed) {
-  BoundedQueue<int> q(4);
-  q.push(1);
-  q.push(2);
-  q.close();
-  EXPECT_EQ(q.pop_for(std::chrono::milliseconds(10)), 1);
-  EXPECT_EQ(q.pop_for(std::chrono::milliseconds(10)), 2);
-  const auto v = q.pop_for(std::chrono::milliseconds(10));
-  EXPECT_FALSE(v.has_value());
-  EXPECT_TRUE(q.closed());
-}
-
-TEST(BoundedQueue, PopForWakesOnConcurrentPush) {
-  BoundedQueue<int> q(4);
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    q.push(42);
-  });
-  // Far longer than the push delay: the wait must wake early.
-  const auto v = q.pop_for(std::chrono::seconds(10));
-  producer.join();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 42);
-}
-
-TEST(BoundedQueue, PopForWakesOnClose) {
-  BoundedQueue<int> q(4);
-  std::thread closer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    q.close();
-  });
-  const auto v = q.pop_for(std::chrono::seconds(10));
-  closer.join();
-  EXPECT_FALSE(v.has_value());
-  EXPECT_TRUE(q.closed());
 }
 
 }  // namespace

@@ -100,7 +100,7 @@ void gen_wire(const fs::path& dir) {
                    (i & 1) ? Side::kS : Side::kR};
     batch.entries.push_back(e);
   }
-  raw_seed(2, "data_batch", encode(batch));
+  raw_seed(2, "data", encode(batch));
   net::ExtractMsg extract;
   extract.mig_id = 9;
   extract.side = Side::kS;

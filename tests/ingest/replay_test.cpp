@@ -306,25 +306,5 @@ TEST(IngestReplay, FileBackendSurvivesCrashReplay) {
   fs::remove_all(dir);
 }
 
-TEST(IngestReplay, WriteOnlyModeKeepsLegacyLossAccounting) {
-  LiveConfig cfg = replay_config();
-  cfg.ingest.replay = false;  // audit-trail mode: log but never replay
-  cfg.monitor_period = std::chrono::milliseconds(100);  // slow respawn
-  LiveEngine engine(cfg);
-  engine.start();
-  const auto trace = make_trace(38, 4'000, 50, 1.0);
-  for (std::size_t i = 0; i < 2'000; ++i) engine.push(trace[i]);
-  engine.crash(Side::kR, 0);
-  engine.crash(Side::kR, 1);  // whole R side down
-  for (std::size_t i = 2'000; i < trace.size(); ++i) {
-    engine.push(trace[i]);
-  }
-  const auto stats = engine.finish();
-  // Without replay the crash window is dropped (and counted), exactly
-  // like the pre-ingest engine — but the log still recorded everything.
-  EXPECT_GT(stats.records_dropped, 0u);
-  EXPECT_EQ(stats.ingest_appended, stats.records_in);
-}
-
 }  // namespace
 }  // namespace fastjoin

@@ -13,6 +13,7 @@ Run directly or via ctest (registered in tests/CMakeLists.txt).
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -159,6 +160,23 @@ def main():
     expect("atomic_padding_clean.cpp", "atomic-padding", 0)
     expect("atomic_padding_allowed.cpp", "atomic-padding", 0)
     expect("atomic_padding_untagged.cpp", "atomic-padding", 0)
+
+    # --- dead-source ------------------------------------------------
+    # A src/ tree with a sibling tools/: the module a tool includes is
+    # reached (with its .cpp and the header that .cpp includes), the
+    # other module is not. Without any program root beside src/ the
+    # rule stays silent.
+    expect("dead_source/src", "dead-source", 1, exact_lines=[1])
+    _, df, _ = run_lint(fixture("dead_source/src"))
+    check("dead-source: the finding is the orphan header",
+          [os.path.basename(f["path"]) for f in df] == ["orphan.hpp"],
+          json.dumps(df, indent=2))
+    with tempfile.TemporaryDirectory() as td:
+        lone = os.path.join(td, "src")
+        shutil.copytree(fixture("dead_source/src"), lone)
+        code, findings, log = run_lint(lone)
+        check("dead-source: no program root, no findings (exit 0)",
+              code == 0 and not findings, log)
 
     # --- baseline machinery -----------------------------------------
     with tempfile.TemporaryDirectory() as td:

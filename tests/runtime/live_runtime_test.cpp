@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "datagen/keygen.hpp"
+#include "runtime/placement.hpp"
 
 namespace fastjoin {
 namespace {
@@ -238,6 +239,24 @@ TEST(LiveRuntime, RepeatedRunsConsistent) {
     const auto stats = engine.finish();
     EXPECT_EQ(stats.results, expected) << "round " << round;
   }
+}
+
+TEST(SpinPolicy, CollapsesSpinningOnlyWhenOversubscribed) {
+  Topology two_cpus;
+  two_cpus.cpu_ids = {0, 1};
+
+  // More always-on threads than CPUs: every spin steals the quantum of
+  // the thread being waited on, so idle loops park almost at once.
+  const SpinPolicy crowded = SpinPolicy::derive(two_cpus, 5);
+  EXPECT_TRUE(crowded.oversubscribed);
+  EXPECT_EQ(crowded.spin_iters, 0u);
+  EXPECT_EQ(crowded.yield_iters, 2u);
+
+  // One CPU per thread: keep the default spin and yield budget.
+  const SpinPolicy roomy = SpinPolicy::derive(two_cpus, 2);
+  EXPECT_FALSE(roomy.oversubscribed);
+  EXPECT_EQ(roomy.spin_iters, 4u);
+  EXPECT_EQ(roomy.yield_iters, 20u);
 }
 
 }  // namespace
