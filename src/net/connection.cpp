@@ -100,13 +100,20 @@ void Connection::close(const std::string& reason, bool clean) {
 void Connection::send(std::uint16_t type, const void* payload,
                       std::size_t len) {
   if (closed_) return;
-  const auto bytes = encode_frame(type, payload, len);
   // Compact the consumed prefix before growing (amortized O(1)).
   if (head_ > 0 && head_ >= out_.size() / 2) {
     out_.erase(out_.begin(), out_.begin() + static_cast<std::ptrdiff_t>(head_));
     head_ = 0;
   }
-  out_.insert(out_.end(), bytes.begin(), bytes.end());
+  // Header and payload go straight into the queue: the payload is
+  // copied once, and never into a temporary frame.
+  std::byte header[kFrameHeaderBytes];
+  encode_frame_header(header, type, payload, len);
+  out_.insert(out_.end(), header, header + kFrameHeaderBytes);
+  if (len) {
+    const auto* body = static_cast<const std::byte*>(payload);
+    out_.insert(out_.end(), body, body + len);
+  }
   note_sent(0, 1);
   flush_writes();
   if (!closed_) update_interest();

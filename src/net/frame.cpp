@@ -24,15 +24,20 @@ std::uint32_t get_u32(const std::byte* p) {
 
 }  // namespace
 
+void encode_frame_header(std::byte* out, std::uint16_t type,
+                         const void* payload, std::size_t len) {
+  put_u32(out, kFrameMagic);
+  put_u16(out + 4, type);
+  put_u16(out + 6, 0);
+  put_u32(out + 8, static_cast<std::uint32_t>(len));
+  put_u32(out + 12, crc32c(payload, len));
+}
+
 std::vector<std::byte> encode_frame(std::uint16_t type,
                                     const void* payload,
                                     std::size_t len) {
   std::vector<std::byte> out(kFrameHeaderBytes + len);
-  put_u32(out.data(), kFrameMagic);
-  put_u16(out.data() + 4, type);
-  put_u16(out.data() + 6, 0);
-  put_u32(out.data() + 8, static_cast<std::uint32_t>(len));
-  put_u32(out.data() + 12, crc32c(payload, len));
+  encode_frame_header(out.data(), type, payload, len);
   if (len) std::memcpy(out.data() + kFrameHeaderBytes, payload, len);
   return out;
 }

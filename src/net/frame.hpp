@@ -42,6 +42,12 @@ struct Frame {
   std::vector<std::byte> payload;
 };
 
+/// Write the kFrameHeaderBytes header of a frame carrying `len` bytes
+/// at `payload` (CRC included) to `out`. The payload is not copied: a
+/// sender that queues frames appends it after the header itself.
+void encode_frame_header(std::byte* out, std::uint16_t type,
+                         const void* payload, std::size_t len);
+
 /// Serialize a frame: header + payload, ready for the socket.
 std::vector<std::byte> encode_frame(std::uint16_t type,
                                     const void* payload, std::size_t len);

@@ -11,6 +11,21 @@ constexpr std::size_t kWireTupleBytes = 1 + 8 + 8 + 8 + 8 + 4;
 constexpr std::size_t kDataEntryBytes = 8 + 1 + 8 + 8 + 8 + 8 + 1;
 constexpr std::size_t kMatchPairBytes = 8 + 8 + 8;
 
+/// Bytes of a message made of a `head`-byte prefix and `n` elements of
+/// `elem_bytes` each — the size an encoder reserves once. Like
+/// read_count's bound, the arithmetic cannot wrap: on overflow the
+/// result saturates, so the reservation fails rather than coming up
+/// short.
+std::size_t array_payload_bytes(std::size_t head, std::size_t n,
+                                std::size_t elem_bytes) {
+  std::size_t bytes = 0;
+  if (__builtin_mul_overflow(n, elem_bytes, &bytes) ||
+      __builtin_add_overflow(bytes, head, &bytes)) {
+    return SIZE_MAX;
+  }
+  return bytes;
+}
+
 void put_tuple(ByteWriter& w, const WireTuple& t) {
   w.u8(static_cast<std::uint8_t>(t.side));
   w.u64(t.key);
@@ -95,7 +110,7 @@ bool decode(const std::vector<std::byte>& p, HelloAckMsg& m) {
 }
 
 std::vector<std::byte> encode(const DataBatchMsg& m) {
-  ByteWriter w;
+  ByteWriter w(array_payload_bytes(4, m.entries.size(), kDataEntryBytes));
   w.u32(static_cast<std::uint32_t>(m.entries.size()));
   for (const DataEntry& e : m.entries) {
     w.u64(e.offset);

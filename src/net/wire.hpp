@@ -66,6 +66,11 @@ const char* msg_type_name(MsgType t);
 
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// Reserve `bytes` up front: an encoder that knows its message size
+  /// sizes the buffer once instead of regrowing it field by field.
+  explicit ByteWriter(std::size_t bytes) { buf_.reserve(bytes); }
+
   void u8(std::uint8_t v) { buf_.push_back(static_cast<std::byte>(v)); }
   void u16(std::uint16_t v) { raw(&v, 2); }
   void u32(std::uint32_t v) { raw(&v, 4); }

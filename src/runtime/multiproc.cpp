@@ -17,8 +17,10 @@ namespace {
 
 using net::MsgType;
 
-/// Entries per kData frame.
+/// Entries at which a worker's pending deliveries are framed.
 constexpr std::size_t kDataFrameEntries = 256;
+/// Records per StreamLog::append_batch: a full stage commits.
+constexpr std::size_t kStageRecords = 64;
 /// How long start() waits for every spawned worker's handshake.
 constexpr std::chrono::milliseconds kSpawnConnectTimeout{10'000};
 /// A migration still short of its epilogue after this long aborts.
@@ -94,6 +96,7 @@ bool MultiprocRouter::start(std::string* err) {
   ic.enabled = true;
   ic.partitions = 1;  // the router is the log's only producer
   log_ = std::make_unique<StreamLog>(ic);
+  stage_.reserve(kStageRecords);
 
   workers_.resize(cfg_.workers);
   for (std::uint32_t i = 0; i < cfg_.workers; ++i) workers_[i].id = i;
@@ -160,15 +163,7 @@ std::vector<std::string> MultiprocRouter::worker_argv(
 // --------------------------------------------------------------------------
 
 void MultiprocRouter::publish(const Record& rec) {
-  if (!park_keys_.empty() && park_keys_.count(rec.key) != 0) {
-    // One of this record's delivery halves lands on the migrating
-    // (side, key) ownership; hold the whole record (pre-log) so its
-    // final routing stamp matches where it is actually delivered.
-    parked_.push_back(rec);
-    ++stats_.records_parked;
-  } else {
-    log_and_route(rec);
-  }
+  park_or_stage(rec);
   if (cfg_.checkpoint_every != 0 &&
       ++records_since_ckpt_ >= cfg_.checkpoint_every) {
     records_since_ckpt_ = 0;
@@ -181,17 +176,55 @@ void MultiprocRouter::publish(const Record& rec) {
   }
 }
 
-void MultiprocRouter::log_and_route(const Record& rec) {
-  const std::uint32_t sw = owner(rec.side, rec.key);
-  const std::uint32_t pw = owner(other_side(rec.side), rec.key);
-  const std::uint64_t off = log_->append(0, rec, sw, pw);
-  ++stats_.records_published;
-  if (sw == pw) {
-    deliver(sw, off, rec, net::kDeliverStore | net::kDeliverProbe);
-  } else {
-    deliver(sw, off, rec, net::kDeliverStore);
-    deliver(pw, off, rec, net::kDeliverProbe);
+bool MultiprocRouter::park_or_stage(const Record& rec) {
+  if (!park_keys_.empty() && park_keys_.count(rec.key) != 0) {
+    // One of this record's delivery halves lands on the migrating
+    // (side, key) ownership; hold the whole record (pre-log) so its
+    // final routing stamp matches where it is actually delivered.
+    parked_.push_back(rec);
+    ++stats_.records_parked;
+    return false;
   }
+  stage(rec);
+  return true;
+}
+
+void MultiprocRouter::stage(const Record& rec) {
+  stage_.push_back(LogRecord{rec, owner(rec.side, rec.key),
+                             owner(other_side(rec.side), rec.key), 0});
+  ++stats_.records_published;
+  if (stage_.size() >= kStageRecords) commit_stage();
+}
+
+void MultiprocRouter::commit_stage() {
+  if (stage_.empty()) return;
+  // Take the batch out first: framing below can re-enter crash
+  // handling, which may unpark, stage and commit records behind it.
+  std::vector<LogRecord> batch;
+  batch.swap(stage_);
+  const std::uint64_t base =
+      log_->append_batch(0, batch.data(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const LogRecord& lr = batch[i];
+    const std::uint64_t off = base + i;
+    if (lr.store_dst == lr.probe_dst) {
+      deliver(lr.store_dst, off, lr.rec,
+              net::kDeliverStore | net::kDeliverProbe);
+    } else {
+      deliver(lr.store_dst, off, lr.rec, net::kDeliverStore);
+      deliver(lr.probe_dst, off, lr.rec, net::kDeliverProbe);
+    }
+  }
+  // Frame only once the whole batch is queued, so records committed by
+  // a re-entered crash handler queue behind it and every worker's
+  // stream stays in log order.
+  for (std::uint32_t w = 0; w < workers_.size(); ++w) {
+    if (workers_[w].pending.entries.size() >= kDataFrameEntries) {
+      flush_pending(w);
+    }
+  }
+  batch.clear();
+  if (stage_.empty()) stage_.swap(batch);  // keep the capacity
 }
 
 void MultiprocRouter::deliver(std::uint32_t w, std::uint64_t offset,
@@ -204,10 +237,12 @@ void MultiprocRouter::deliver(std::uint32_t w, std::uint64_t offset,
   if (!s.alive) return;  // sits in the log; replay covers it at reconnect
   s.pending.entries.push_back(net::DataEntry{offset, flags, rec});
   stats_.deliveries_sent += deliver_halves(flags);
-  if (s.pending.entries.size() >= kDataFrameEntries) flush_pending(w);
 }
 
 void MultiprocRouter::flush_pending(std::uint32_t w) {
+  // Every frame queued to a worker follows a flush: commit first, so no
+  // frame carries or overtakes a record that is not yet in the log.
+  commit_stage();
   WorkerSlot& s = workers_[w];
   if (s.pending.entries.empty()) return;
   if (!s.alive || !s.conn) {
@@ -242,6 +277,7 @@ void MultiprocRouter::wait_writable() {
 }
 
 void MultiprocRouter::pump(std::chrono::milliseconds wait) {
+  commit_stage();
   loop_.run_once(wait);
   for (const auto& ev : sup_.poll_exits()) {
     for (WorkerSlot& s : workers_) {
@@ -295,7 +331,9 @@ bool MultiprocRouter::serve_sink(
       return false;
     }
   }
-  bool first = true;
+  // Staged records commit in order at the log's end, so the first
+  // record this append stages lands at `next`.
+  const std::uint64_t next = log_->end_offset(0) + stage_.size();
   for (const server::ClientRecord& cr : recs) {
     Record rec;
     rec.key = cr.key;
@@ -306,22 +344,17 @@ bool MultiprocRouter::serve_sink(
     // truth — clients cannot forge an order.
     rec.seq = serve_next_seq_[static_cast<int>(cr.side)]++;
     rec.ts = serve_next_ts_++;
-    if (!park_keys_.empty() && park_keys_.count(rec.key) != 0) {
-      parked_.push_back(rec);
-      ++stats_.records_parked;
-      ++ack->parked;
-    } else {
-      if (first) {
-        ack->first_offset = log_->end_offset(0);
-        first = false;
-      }
-      log_and_route(rec);
+    if (park_or_stage(rec)) {
+      if (ack->appended == 0) ack->first_offset = next;
       ++ack->appended;
+    } else {
+      ++ack->parked;
     }
   }
-  // Acked batches must not sit in the per-worker pending buffers until
-  // the next 256-record threshold: the ack promises the records are on
-  // their way.
+  // Acked batches must not sit in the stage or the per-worker pending
+  // buffers until the next threshold: the ack promises the records are
+  // logged and on their way.
+  commit_stage();
   flush_all_pending();
   if (cfg_.checkpoint_every != 0) {
     records_since_ckpt_ += recs.size();
@@ -365,9 +398,10 @@ void MultiprocRouter::serve_query(const server::QueryMsg& q,
   }
 }
 
-std::vector<LogRecord> MultiprocRouter::dump_log() const {
+std::vector<LogRecord> MultiprocRouter::dump_log() {
   std::vector<LogRecord> out;
   if (!log_) return out;
+  commit_stage();
   const std::uint64_t from = log_->start_offset(0);
   const std::uint64_t end = log_->end_offset(0);
   if (end > from) {
@@ -947,7 +981,10 @@ void MultiprocRouter::unpark() {
   if (parked_.empty()) return;
   std::vector<Record> held;
   held.swap(parked_);
-  for (const Record& rec : held) log_and_route(rec);
+  for (const Record& rec : held) stage(rec);
+  // Unparking runs inside event-loop dispatch (and finish()): commit, so
+  // the stage is empty again before any other handler runs.
+  commit_stage();
 }
 
 void MultiprocRouter::reinject_into(std::uint32_t w,
@@ -968,10 +1005,6 @@ void MultiprocRouter::reinject_into(std::uint32_t w,
   }
   // Carried until a checkpoint covers it (re-sent after any crash).
   s.reinject.push_back(WorkerSlot::Reinject{std::move(m), next_ckpt_id_});
-}
-
-bool MultiprocRouter::parking(KeyId key) const {
-  return park_keys_.count(key) != 0;
 }
 
 // --------------------------------------------------------------------------
@@ -996,6 +1029,7 @@ bool MultiprocRouter::finish(std::chrono::milliseconds timeout) {
   // Serving stops first: finish() drains and closes the worker fabric,
   // and an append admitted after this point could never be delivered.
   if (frontdoor_) frontdoor_->stop();
+  commit_stage();
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   // Let in-flight migrations resolve (they unpark records); force the
   // issue at the deadline.

@@ -25,6 +25,19 @@
 //              the emit watermark E flagged kSuppressEmit so already-
 //              delivered matches are not emitted twice.
 //
+// Batch append: the router stages each routed record in publish order,
+// its stamps and its park decision fixed at publish. A commit logs the
+// whole stage with one StreamLog::append_batch (base offset B) and
+// queues staged record i for delivery at offset B + i. The stage
+// commits when it is full, and before any frame is queued to a worker
+// (flush_pending), at every event-loop turn (pump), before a front-door
+// ack (serve_sink), after unparking, and in finish() and dump_log().
+// Invariant: a record is in the log before any frame carries it, and
+// the stage is empty whenever the loop dispatches or a control frame
+// goes out. So a staged record is logged and framed before any later
+// control frame on the same connection; records stay staged only
+// between the host's publish() calls.
+//
 // Exactness argument (full-history joins): the match-pair set is fixed
 // by the `precedes` total order, independent of partitioning. A pair
 // (r, s) is found iff the earlier tuple's store delivery is processed
@@ -138,9 +151,10 @@ class MultiprocRouter {
   /// Resolved endpoint string (kernel-chosen port / temp path filled).
   const std::string& endpoint() const { return endpoint_str_; }
 
-  /// Log + route + frame one record (or park it under an active
-  /// migration). Applies backpressure: blocks pumping the loop while
-  /// any worker's outbound queue is over its high watermark.
+  /// Route and stage one record for logging and framing (or park it
+  /// under an active migration). Applies backpressure: blocks pumping
+  /// the loop while any worker's outbound queue is over its high
+  /// watermark.
   void publish(const Record& rec);
 
   /// One event-loop turn + child reaping. Drives timers, reads worker
@@ -188,8 +202,9 @@ class MultiprocRouter {
   /// truncate_log=false this is the full input history; the serving
   /// e2e test replays it through the in-process engine to obtain the
   /// byte-identical ground truth for front-door ingest, whose seq/ts
-  /// stamps exist only in the router.
-  std::vector<LogRecord> dump_log() const;
+  /// stamps exist only in the router. Commits the stage first, so every
+  /// published record is included.
+  std::vector<LogRecord> dump_log();
 
  private:
   struct WorkerSlot {
@@ -240,7 +255,11 @@ class MultiprocRouter {
   };
 
   // Data plane.
-  void log_and_route(const Record& rec);
+  /// Park `rec` if a migration holds its key, else stage it. True when
+  /// staged.
+  bool park_or_stage(const Record& rec);
+  void stage(const Record& rec);
+  void commit_stage();
   void deliver(std::uint32_t w, std::uint64_t offset, const Record& rec,
                std::uint8_t flags);
   void flush_pending(std::uint32_t w);
@@ -290,7 +309,6 @@ class MultiprocRouter {
   void finish_migration_if_epilogue_done();
   void unpark();
   void reinject_into(std::uint32_t w, std::vector<net::WireTuple> tuples);
-  bool parking(KeyId key) const;
   void arm_migration_timer();
 
   MultiprocConfig cfg_;
@@ -306,6 +324,10 @@ class MultiprocRouter {
 
   /// Per-side routing overrides installed by completed migrations.
   std::unordered_map<KeyId, std::uint32_t> overrides_[2];
+
+  /// Routed records waiting for one log append (see the invariant at
+  /// the top of this file).
+  std::vector<LogRecord> stage_;
 
   std::optional<Migration> mig_;
   std::deque<QueuedMigration> mig_queue_;

@@ -90,6 +90,15 @@ std::vector<PairKey> inproc_reference(const std::vector<Record>& trace,
   return canonical(std::move(pairs));
 }
 
+/// Records published but not yet logged and queued for delivery: the
+/// router stages routed records for one log append. Exact while every
+/// worker is alive, since each delivered record counts two delivery
+/// halves. The chaos and migration calls below land while it is > 0.
+std::uint64_t staged(const MultiprocRouter& router) {
+  const auto& st = router.stats();
+  return st.records_published - st.deliveries_sent / 2;
+}
+
 MultiprocConfig base_config(std::uint32_t workers) {
   MultiprocConfig cfg;
   cfg.workers = workers;
@@ -108,6 +117,26 @@ TEST(Multiproc, ByteIdenticalToInprocFourWorkers) {
   std::string err;
   ASSERT_TRUE(router.start(&err)) << err;
   for (const auto& rec : trace) router.publish(rec);
+
+  // dump_log() commits the stage: the log holds every published record
+  // in publish order, stamped with its owners.
+  ASSERT_GT(staged(router), 0u);
+  const auto log = router.dump_log();
+  EXPECT_EQ(staged(router), 0u);
+  ASSERT_EQ(log.size(), trace.size());
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    const LogRecord& lr = log[i];
+    const Record& rec = trace[i];
+    ASSERT_EQ(lr.offset, i);
+    ASSERT_TRUE(lr.rec.key == rec.key && lr.rec.seq == rec.seq &&
+                lr.rec.side == rec.side && lr.rec.ts == rec.ts &&
+                lr.rec.payload == rec.payload)
+        << "log entry " << i << " is not the record published " << i;
+    ASSERT_EQ(lr.store_dst, router.owner(rec.side, rec.key)) << i;
+    ASSERT_EQ(lr.probe_dst, router.owner(other_side(rec.side), rec.key))
+        << i;
+  }
+
   ASSERT_TRUE(router.finish());
   EXPECT_EQ(router.stats().records_dropped, 0u);
   EXPECT_EQ(canonical(router.take_matches()), inproc);
@@ -160,7 +189,10 @@ TEST(Multiproc, SigkillMidRunReplaysExactly) {
     std::size_t i = 0;
     for (const auto& rec : trace) {
       router.publish(rec);
-      if (++i == trace.size() / 3) router.kill_worker(1);
+      if (++i == trace.size() / 3) {
+        EXPECT_GT(staged(router), 0u);
+        router.kill_worker(1);
+      }
       if (i == 2 * trace.size() / 3) router.kill_worker(3);
       if (i == 17 * trace.size() / 20) {
         for (int k = 0; k < 50; ++k) router.pump(std::chrono::milliseconds(2));
@@ -198,8 +230,12 @@ TEST(Multiproc, RepeatedSigkillOfSameWorker) {
   std::size_t i = 0;
   for (const auto& rec : trace) {
     router.publish(rec);
-    // Kill worker 0 three times; it must come back each time.
-    if (++i % 2'000 == 0 && i < 7'000) {
+    // Kill worker 0 three times, between checkpoint rounds and with
+    // records staged; it must come back each time.
+    if (++i % 2'000 == 1'037 && i < 7'000) {
+      if (i < 2'000) {
+        EXPECT_GT(staged(router), 0u);
+      }
       ASSERT_TRUE(router.kill_worker(0)) << "kill " << i;
     }
   }
@@ -227,13 +263,16 @@ TEST(Multiproc, MigrationMovesOwnershipExactly) {
     router.publish(rec);
     if (++i == trace.size() / 2) {
       // Migrate the 6 hottest keys (both sides for the first two) off
-      // their owners mid-stream.
+      // their owners mid-stream. The first move starts at once: its
+      // kExtract follows a commit of the staged records.
+      EXPECT_GT(staged(router), 0u);
       for (std::uint64_t rank = 1; rank <= 6; ++rank) {
         const KeyId k = gen.key_for_rank(rank);
         const Side side = rank <= 2 ? Side::kS : Side::kR;
         const std::uint32_t from = router.owner(side, k);
         ASSERT_TRUE(router.request_migration(side, from, (from + 1) % 4,
                                              {k}));
+        EXPECT_EQ(staged(router), 0u);
         moved.emplace_back(side, k);
       }
     }
@@ -270,6 +309,7 @@ TEST(Multiproc, SigkillDuringMigrationWindow) {
     router.publish(rec);
     ++i;
     if (i == trace.size() / 2) {
+      EXPECT_GT(staged(router), 0u);
       const std::uint32_t from = router.owner(Side::kR, hot);
       ASSERT_TRUE(
           router.request_migration(Side::kR, from, (from + 1) % 4, {hot}));
@@ -295,7 +335,10 @@ TEST(Multiproc, NoRespawnAccountsDrops) {
   std::size_t i = 0;
   for (const auto& rec : trace) {
     router.publish(rec);
-    if (++i == trace.size() / 2) router.kill_worker(1);
+    if (++i == trace.size() / 2) {
+      EXPECT_GT(staged(router), 0u);
+      router.kill_worker(1);
+    }
   }
   router.finish();
   const auto& st = router.stats();
@@ -319,7 +362,10 @@ TEST(Multiproc, FileBackedLogSurvives) {
   std::size_t i = 0;
   for (const auto& rec : trace) {
     router.publish(rec);
-    if (++i == trace.size() / 2) router.kill_worker(0);
+    if (++i == trace.size() / 2) {
+      EXPECT_GT(staged(router), 0u);
+      router.kill_worker(0);
+    }
   }
   ASSERT_TRUE(router.finish());
   EXPECT_EQ(router.stats().records_dropped, 0u);

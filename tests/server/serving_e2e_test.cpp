@@ -86,6 +86,13 @@ std::vector<PairKey> replay_log(const std::vector<LogRecord>& log,
   return canonical(std::move(pairs));
 }
 
+/// An acked append: the log offset its ack named, and the record the
+/// client sent first in it.
+struct AckedAppend {
+  std::uint64_t first_offset = 0;
+  server::ClientRecord first;
+};
+
 /// What one client thread did, for the accounting assertions.
 struct ClientOutcome {
   std::uint64_t offered = 0;   ///< append requests sent (incl. retries)
@@ -93,6 +100,7 @@ struct ClientOutcome {
   std::uint64_t rejected = 0;  ///< kRejected received
   std::uint64_t admitted_records = 0;
   std::uint64_t queries_answered = 0;
+  std::vector<AckedAppend> acked;
   std::string fail;  ///< first client-side failure, empty if none
   bool ok() const { return fail.empty(); }
 };
@@ -160,6 +168,9 @@ ClientOutcome run_client(const net::Endpoint& ep, const std::string& tenant,
         }
         ++out.admitted;
         out.admitted_records += ack.appended + ack.parked;
+        if (ack.appended > 0) {
+          out.acked.push_back(AckedAppend{ack.first_offset, m.records[0]});
+        }
         break;
       }
       if (f.type != wire(server::ClientMsgType::kRejected)) {
@@ -199,6 +210,23 @@ ClientOutcome run_client(const net::Endpoint& ep, const std::string& tenant,
   }
   fc.write_frame(wire(server::ClientMsgType::kClientBye), {});
   return out;
+}
+
+/// Each ack's first_offset is the log offset of its append's first
+/// record. No migration runs in these tests, so nothing is parked and
+/// the first record sent is the first one appended. `log` is the whole
+/// history (truncate_log = false), so entry i has offset i.
+void expect_first_offsets(const std::vector<LogRecord>& log,
+                          const ClientOutcome& c) {
+  EXPECT_EQ(c.acked.size(), c.admitted);
+  for (const AckedAppend& a : c.acked) {
+    ASSERT_LT(a.first_offset, log.size());
+    const LogRecord& lr = log[a.first_offset];
+    EXPECT_EQ(lr.offset, a.first_offset);
+    EXPECT_EQ(lr.rec.key, a.first.key) << "offset " << a.first_offset;
+    EXPECT_EQ(lr.rec.payload, a.first.payload) << "offset " << a.first_offset;
+    EXPECT_EQ(lr.rec.side, a.first.side) << "offset " << a.first_offset;
+  }
 }
 
 TEST(ServingE2E, ByteIdenticalThroughFrontDoor) {
@@ -248,6 +276,8 @@ TEST(ServingE2E, ByteIdenticalThroughFrontDoor) {
   EXPECT_EQ(alice.admitted_records + bob.admitted_records,
             static_cast<std::uint64_t>(log.size()));
   EXPECT_EQ(alice.queries_answered, 5u);
+  expect_first_offsets(log, alice);
+  expect_first_offsets(log, bob);
 }
 
 TEST(ServingE2E, AbusiveTenantShedOthersUnharmed) {
@@ -307,6 +337,8 @@ TEST(ServingE2E, AbusiveTenantShedOthersUnharmed) {
   EXPECT_EQ(canonical(router.take_matches()), replay_log(log, 2));
   EXPECT_EQ(polite.admitted_records + abusive.admitted_records,
             static_cast<std::uint64_t>(log.size()));
+  expect_first_offsets(log, polite);
+  expect_first_offsets(log, abusive);
 }
 
 }  // namespace
