@@ -6,7 +6,9 @@
 #   scripts/check.sh --tier1    # tier-1 only
 #   scripts/check.sh --tsan     # TSan common+net+server+runtime+ingest+telemetry
 #   scripts/check.sh --asan     # ASan common+net+server+runtime+ingest+telemetry
+#                               #      +multiproc+serving_e2e
 #   scripts/check.sh --ubsan    # UBSan common+net+server+runtime+ingest+telemetry
+#                               #       +multiproc+serving_e2e
 #   scripts/check.sh --notel    # FASTJOIN_NO_TELEMETRY build + ctest only
 #   scripts/check.sh --static   # fastjoin-lint + clang-tidy +
 #                               # -Werror=thread-safety build (clang legs
@@ -26,7 +28,10 @@
 # arena recycling, the SPSC lanes, the frame codec and socket
 # event loop, the serving front door (admission, slow clients, idle
 # sweeps), the worker/monitor/supervisor threading, the chaos tests, and
-# the StreamLog append/replay/truncation paths.
+# the StreamLog append/replay/truncation paths. The ASan and UBSan
+# passes also run test_multiproc and test_serving_e2e: the router's
+# event loop, SIGKILL recovery from the log and the forked workers
+# (single-threaded per process, so TSan adds nothing there).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -84,31 +89,37 @@ if [[ $run_tsan -eq 1 ]]; then
 fi
 
 if [[ $run_asan -eq 1 ]]; then
-  echo "== ASan: common + net + server + runtime + ingest + telemetry tests under -fsanitize=address =="
+  echo "== ASan: common + net + server + runtime + ingest + telemetry + multiproc + serving_e2e tests under -fsanitize=address =="
   cmake -B build-asan -S . -DFASTJOIN_SANITIZE=address >/dev/null
   cmake --build build-asan -j "$jobs" --target test_common \
     --target test_net --target test_server \
-    --target test_runtime --target test_ingest --target test_telemetry
+    --target test_runtime --target test_ingest --target test_telemetry \
+    --target test_multiproc --target test_serving_e2e
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/test_common
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/test_net
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/test_server
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/test_telemetry
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/test_ingest
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/test_runtime
+  ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/test_multiproc
+  ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/test_serving_e2e
 fi
 
 if [[ $run_ubsan -eq 1 ]]; then
-  echo "== UBSan: common + net + server + runtime + ingest + telemetry tests under -fsanitize=undefined =="
+  echo "== UBSan: common + net + server + runtime + ingest + telemetry + multiproc + serving_e2e tests under -fsanitize=undefined =="
   cmake -B build-ubsan -S . -DFASTJOIN_SANITIZE=undefined >/dev/null
   cmake --build build-ubsan -j "$jobs" --target test_common \
     --target test_net --target test_server \
-    --target test_runtime --target test_ingest --target test_telemetry
+    --target test_runtime --target test_ingest --target test_telemetry \
+    --target test_multiproc --target test_serving_e2e
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" ./build-ubsan/tests/test_common
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" ./build-ubsan/tests/test_net
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" ./build-ubsan/tests/test_server
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" ./build-ubsan/tests/test_telemetry
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" ./build-ubsan/tests/test_ingest
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" ./build-ubsan/tests/test_runtime
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" ./build-ubsan/tests/test_multiproc
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" ./build-ubsan/tests/test_serving_e2e
 fi
 
 if [[ $run_notel -eq 1 ]]; then

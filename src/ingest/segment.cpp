@@ -17,17 +17,18 @@ const char* segment_backend_name(SegmentBackend b) {
 SegmentFile::SegmentFile(SegmentBackend backend, std::string path,
                          std::size_t capacity_bytes)
     : backend_(backend), path_(std::move(path)), capacity_(capacity_bytes) {
-  if (backend_ == SegmentBackend::kMemory) {
-    mem_.reserve(capacity_);
-    return;
-  }
-  file_ = std::fopen(path_.c_str(), "wb+");
-  if (file_ == nullptr) {
+  if (backend_ == SegmentBackend::kFile) {
+    file_ = std::fopen(path_.c_str(), "wb+");
+    if (file_ != nullptr) return;
     FJ_ERROR("ingest") << "cannot create segment file " << path_
                        << "; falling back to the memory backend";
     backend_ = SegmentBackend::kMemory;
-    mem_.reserve(capacity_);
   }
+  // Touch the whole buffer now: the page faults of a fresh segment are
+  // paid once, at the roll, instead of by the appends that fill it (a
+  // log that is never truncated never reuses freed pages).
+  mem_.resize(capacity_);
+  mem_.clear();
 }
 
 SegmentFile::~SegmentFile() {

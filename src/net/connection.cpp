@@ -278,12 +278,15 @@ bool FrameConn::read_frame(Frame& out) {
 
 bool FrameConn::write_frame(std::uint16_t type, const void* payload,
                             std::size_t len) {
-  const auto bytes = encode_frame(type, payload, len);
-  if (!send_all(sock_, bytes.data(), bytes.size())) {
+  // Header and payload leave in one vectored send: the payload is never
+  // copied into a temporary frame.
+  std::byte header[kFrameHeaderBytes];
+  encode_frame_header(header, type, payload, len);
+  if (!send_all(sock_, header, kFrameHeaderBytes, payload, len)) {
     error_ = "write failed (peer gone?)";
     return false;
   }
-  note_sent(bytes.size(), 1);
+  note_sent(kFrameHeaderBytes + len, 1);
   return true;
 }
 

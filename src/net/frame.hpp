@@ -32,8 +32,10 @@ namespace fastjoin::net {
 
 inline constexpr std::uint32_t kFrameMagic = 0x464A4E31u;  // "FJN1"
 inline constexpr std::size_t kFrameHeaderBytes = 16;
-/// Default payload ceiling. Checkpoints ship whole store snapshots, so
-/// this is generous; anything larger is a protocol bug or corruption.
+/// Default payload ceiling. No frame carries a whole store (a worker is
+/// rebuilt from the router's log); the largest are a migration's
+/// extracted tuples and a collected match batch, so this is generous,
+/// and anything larger is a protocol bug or corruption.
 inline constexpr std::uint32_t kDefaultMaxPayload = 64u << 20;
 
 /// One complete, CRC-validated frame as produced by the decoder.

@@ -7,6 +7,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -125,6 +126,31 @@ bool send_all(Socket& s, const void* buf, std::size_t len) {
     len -= r.n;
   }
   return true;
+}
+
+bool send_all(Socket& s, const void* head, std::size_t head_len,
+              const void* body, std::size_t body_len) {
+  iovec iov[2] = {{const_cast<void*>(head), head_len},
+                  {const_cast<void*>(body), body_len}};
+  std::size_t i = 0;
+  for (;;) {
+    while (i < 2 && iov[i].iov_len == 0) ++i;
+    if (i == 2) return true;
+    msghdr msg{};
+    msg.msg_iov = iov + i;
+    msg.msg_iovlen = 2 - i;
+    const ssize_t n = ::sendmsg(s.fd(), &msg, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    // would_block on a blocking socket means misuse; treat as error.
+    if (n <= 0) return false;
+    // Step past what went out: whole iovecs, then into the next one.
+    auto left = static_cast<std::size_t>(n);
+    for (; i < 2 && left >= iov[i].iov_len; ++i) left -= iov[i].iov_len;
+    if (i < 2) {
+      iov[i].iov_base = static_cast<std::byte*>(iov[i].iov_base) + left;
+      iov[i].iov_len -= left;
+    }
+  }
 }
 
 bool set_nonblocking(Socket& s, bool on) {

@@ -70,6 +70,10 @@ IoResult write_some(Socket& s, const void* buf, std::size_t len);
 /// Write the whole buffer on a blocking socket (EINTR/short writes
 /// retried). False on hard error or closed peer.
 bool send_all(Socket& s, const void* buf, std::size_t len);
+/// send_all of `head` then `body` as one vectored write: a frame's
+/// header and payload leave without being copied together first.
+bool send_all(Socket& s, const void* head, std::size_t head_len,
+              const void* body, std::size_t body_len);
 
 bool set_nonblocking(Socket& s, bool on);
 

@@ -75,7 +75,6 @@ const char* msg_type_name(MsgType t) {
     case MsgType::kAbsorbAck: return "AbsorbAck";
     case MsgType::kCheckpoint: return "Checkpoint";
     case MsgType::kCheckpointDone: return "CheckpointDone";
-    case MsgType::kRestore: return "Restore";
     case MsgType::kMatches: return "Matches";
     case MsgType::kFinish: return "Finish";
     case MsgType::kFinal: return "Final";
@@ -129,7 +128,10 @@ bool decode(const std::vector<std::byte>& p, DataBatchMsg& m) {
     if (!r.u64(e.offset) || !r.u8(e.flags) || !get_record(r, e.rec)) {
       return false;
     }
-    if ((e.flags & (kDeliverStore | kDeliverProbe)) == 0) return false;
+    // At least one delivery half, and no other bit.
+    if (e.flags == 0 || e.flags > (kDeliverStore | kDeliverProbe)) {
+      return false;
+    }
   }
   return r.done();
 }
@@ -281,7 +283,6 @@ std::vector<std::byte> encode(const FinalMsg& m) {
   w.u64(m.stores);
   w.u64(m.probes);
   w.u64(m.matches);
-  w.u64(m.suppressed);
   w.u64(m.dedup_skipped);
   w.u64(m.absorbed);
   return w.take();
@@ -290,8 +291,7 @@ std::vector<std::byte> encode(const FinalMsg& m) {
 bool decode(const std::vector<std::byte>& p, FinalMsg& m) {
   ByteReader r(p);
   return r.u64(m.stores) && r.u64(m.probes) && r.u64(m.matches) &&
-         r.u64(m.suppressed) && r.u64(m.dedup_skipped) &&
-         r.u64(m.absorbed) && r.done();
+         r.u64(m.dedup_skipped) && r.u64(m.absorbed) && r.done();
 }
 
 }  // namespace fastjoin::net

@@ -15,20 +15,24 @@
 //
 //   kHello          W→R  worker_id + pid, first frame after connect
 //   kHelloAck       R→W  cluster shape + match-collection mode
-//   kData           R→W  a batch of log-stamped deliveries
+//   kData           R→W  a batch of log-stamped deliveries (also the
+//                        log pass that rebuilds a respawned worker)
 //   kExtract        R→W  migration: remove these keys' tuples (one side)
 //   kExtractBatch   W→R  the extracted tuples + consumed watermark
-//   kAbsorb         R→W  merge these tuples (migration or re-inject)
+//   kAbsorb         R→W  merge these tuples (migration, or an aborted
+//                        extract returned to its source)
 //   kAbsorbAck      W→R  merge done
-//   kCheckpoint     R→W  snapshot request
-//   kCheckpointDone W→R  store snapshot + consumed/emitted watermarks
-//   kRestore        R→W  respawn: reload this snapshot before any data
+//   kCheckpoint     R→W  flush round: flush kMatches, then answer
+//   kCheckpointDone W→R  the round id (CheckpointMsg); no store state
 //   kMatches        W→R  match results up to an emit watermark
 //   kFinish         R→W  drain and report
 //   kFinal          W→R  final per-worker counters; worker exits after
 //
-// See docs/migration_protocol.md ("Wire mapping") for how these
-// correspond to the in-process supervised-migration phases.
+// Type 10 (a retired snapshot restore) is unassigned. Workers never
+// ship their stores: a worker's store is a function of the router's
+// log, so a respawned worker is rebuilt by re-sending kData. See
+// docs/migration_protocol.md ("Wire mapping") for the argument and for
+// how these frames map onto the in-process supervised-migration phases.
 #pragma once
 
 #include <cstddef>
@@ -52,7 +56,6 @@ enum class MsgType : std::uint16_t {
   kAbsorbAck = 7,
   kCheckpoint = 8,
   kCheckpointDone = 9,
-  kRestore = 10,
   kMatches = 11,
   kFinish = 12,
   kFinal = 13,
@@ -128,28 +131,20 @@ inline bool read_count(ByteReader& r, std::size_t elem_bytes,
 // Messages
 // --------------------------------------------------------------------------
 
-/// One stored tuple with its full identity — what migrations and
-/// checkpoints ship.
+/// One stored tuple with its full identity — what migrations ship.
 struct WireTuple {
   Side side = Side::kR;
   KeyId key = 0;
   StoredTuple tuple;
 };
 
-/// Delivery-half flags on a DataEntry.
+/// Delivery-half flags on a DataEntry; decode rejects any other bit.
 inline constexpr std::uint8_t kDeliverStore = 1;   ///< insert rec into rec.side's store
 inline constexpr std::uint8_t kDeliverProbe = 2;   ///< probe other_side(rec.side)'s store
-inline constexpr std::uint8_t kSuppressEmit = 4;   ///< probe half: count but
-                                                   ///< do not emit (matches
-                                                   ///< already delivered by a
-                                                   ///< dead incarnation)
-inline constexpr std::uint8_t kDedupStore = 8;     ///< store half: skip if a
-                                                   ///< tuple with this seq is
-                                                   ///< already in the bucket
 
 struct DataEntry {
   std::uint64_t offset = 0;  ///< StreamLog partition offset
-  std::uint8_t flags = 0;    ///< kDeliver*/kSuppressEmit/kDedupStore
+  std::uint8_t flags = 0;    ///< kDeliverStore | kDeliverProbe
   Record rec;
 };
 
@@ -184,8 +179,9 @@ struct ExtractBatchMsg {
   std::vector<WireTuple> tuples;
 };
 
-/// Migration transfer and crash-recovery re-injection share this
-/// shape; mig_id == 0 marks a re-inject (no ack expected).
+/// Migration transfer, and an aborted extract's tuples returned to
+/// their source, share this shape; mig_id == 0 marks a return (no ack
+/// expected).
 struct AbsorbMsg {
   std::uint64_t mig_id = 0;
   std::vector<WireTuple> tuples;
@@ -195,12 +191,16 @@ struct AbsorbAckMsg {
   std::uint64_t mig_id = 0;
 };
 
+/// A flush round's request (kCheckpoint) and its answer
+/// (kCheckpointDone) carry just the round id.
 struct CheckpointMsg {
   std::uint64_t ckpt_id = 0;
 };
 
-/// CheckpointDone (W→R) and Restore (R→W) carry the same snapshot
-/// shape: the full store plus the watermarks that anchor replay.
+/// A whole-store snapshot. No frame carries it any more: the
+/// repository benchmark (perfbench/src/replays.cpp) still times its
+/// codec for `net.snapshot_*`, so the codec, its golden and its fuzz
+/// branch stay until a benchmark change retires those metrics.
 struct SnapshotMsg {
   std::uint64_t ckpt_id = 0;
   /// Exclusive: deliveries of log offsets below this are reflected in
@@ -227,8 +227,7 @@ struct FinalMsg {
   std::uint64_t stores = 0;
   std::uint64_t probes = 0;
   std::uint64_t matches = 0;
-  std::uint64_t suppressed = 0;    ///< probe halves with kSuppressEmit
-  std::uint64_t dedup_skipped = 0; ///< store halves / absorb tuples skipped
+  std::uint64_t dedup_skipped = 0; ///< absorbed tuples already stored
   std::uint64_t absorbed = 0;      ///< tuples merged via kAbsorb
 };
 

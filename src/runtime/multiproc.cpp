@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <new>
 
 #include "common/hash.hpp"
 #include "common/logging.hpp"
@@ -23,7 +24,7 @@ constexpr std::size_t kDataFrameEntries = 256;
 constexpr std::size_t kStageRecords = 64;
 /// How long start() waits for every spawned worker's handshake.
 constexpr std::chrono::milliseconds kSpawnConnectTimeout{10'000};
-/// A migration still short of its epilogue after this long aborts.
+/// A migration phase (extract or absorb) unanswered this long aborts.
 constexpr std::chrono::milliseconds kMigrationTimeout{5'000};
 
 std::uint16_t wire_type(MsgType t) { return static_cast<std::uint16_t>(t); }
@@ -127,7 +128,6 @@ bool MultiprocRouter::start(std::string* err) {
   }
 
   if (cfg_.serve) {
-    serve_snap_.assign(cfg_.workers, ServeSnap{});
     frontdoor_ = std::make_unique<server::FrontDoor>(loop_, cfg_.serve_cfg);
     std::string ferr;
     if (!frontdoor_->start(
@@ -204,6 +204,7 @@ void MultiprocRouter::commit_stage() {
   batch.swap(stage_);
   const std::uint64_t base =
       log_->append_batch(0, batch.data(), batch.size());
+  if (cfg_.serve) serve_counts_.add(batch);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const LogRecord& lr = batch[i];
     const std::uint64_t off = base + i;
@@ -256,6 +257,16 @@ void MultiprocRouter::flush_pending(std::uint32_t w) {
   s.conn->send(wire_type(MsgType::kData), net::encode(msg));
 }
 
+bool MultiprocRouter::send_control(std::uint32_t w, MsgType type,
+                                   const std::vector<std::byte>& payload) {
+  flush_pending(w);
+  // The flush can fail a write, and crash handling runs inside it.
+  WorkerSlot& s = workers_[w];
+  if (!s.alive || !s.conn) return false;
+  s.conn->send(wire_type(type), payload);
+  return true;
+}
+
 void MultiprocRouter::flush_all_pending() {
   for (std::uint32_t w = 0; w < workers_.size(); ++w) flush_pending(w);
 }
@@ -279,6 +290,8 @@ void MultiprocRouter::wait_writable() {
 void MultiprocRouter::pump(std::chrono::milliseconds wait) {
   commit_stage();
   loop_.run_once(wait);
+  // Off the ack path: the pass above already acked its appends.
+  if (cfg_.serve) serve_counts_.settle();
   for (const auto& ev : sup_.poll_exits()) {
     for (WorkerSlot& s : workers_) {
       if (s.pid != ev.pid) continue;
@@ -372,23 +385,13 @@ void MultiprocRouter::serve_query(const server::QueryMsg& q,
   out->owner_r = owner(Side::kR, q.key);
   out->owner_s = owner(Side::kS, q.key);
   out->matches_total = stats_.matches_total;
-  // The answer's consistency floor: every worker's counts come from its
-  // latest completed checkpoint, and as_of_ckpt is the weakest of them.
-  std::uint64_t as_of = UINT64_MAX;
-  for (std::uint32_t w = 0; w < workers_.size(); ++w) {
-    if (workers_[w].dead_forever) continue;
-    const ServeSnap& snap = serve_snap_[w];
-    as_of = std::min(as_of, snap.ckpt_id);
-    const auto r = snap.counts[static_cast<int>(Side::kR)].find(q.key);
-    if (r != snap.counts[static_cast<int>(Side::kR)].end()) {
-      out->r_tuples += r->second;
-    }
-    const auto s = snap.counts[static_cast<int>(Side::kS)].find(q.key);
-    if (s != snap.counts[static_cast<int>(Side::kS)].end()) {
-      out->s_tuples += s->second;
-    }
-  }
-  out->as_of_ckpt = as_of == UINT64_MAX ? 0 : as_of;
+  // The cut is the log's end: counts move at commit, and the loop
+  // dispatches only with the stage empty, so they cover every logged
+  // record of the key and nothing parked or staged.
+  const auto n = serve_counts_.get(q.key);
+  out->r_tuples = n[static_cast<int>(Side::kR)];
+  out->s_tuples = n[static_cast<int>(Side::kS)];
+  out->as_of = log_->end_offset(0);
   if (q.max_recent > 0) {
     for (auto it = serve_recent_.rbegin();
          it != serve_recent_.rend() && out->recent.size() < q.max_recent;
@@ -396,6 +399,77 @@ void MultiprocRouter::serve_query(const server::QueryMsg& q,
       if (it->key == q.key) out->recent.push_back(*it);
     }
   }
+}
+
+void MultiprocRouter::KeyCounts::resize(unsigned bits) {
+  const auto old = std::move(slots_);
+  const std::size_t old_size = old ? mask_ + 1 : 0;
+  slots_.reset(static_cast<Slot*>(std::calloc(std::size_t{1} << bits,
+                                              sizeof(Slot))));
+  if (!slots_) throw std::bad_alloc();
+  mask_ = (std::size_t{1} << bits) - 1;
+  shift_ = 64 - bits;
+  for (std::size_t i = 0; i < old_size; ++i) {
+    const Slot& s = old[i];
+    if (is_free(s)) continue;
+    std::size_t j = home(s.key);
+    while (!is_free(slots_[j])) j = (j + 1) & mask_;
+    slots_[j] = s;
+  }
+}
+
+std::size_t MultiprocRouter::KeyCounts::probe(KeyId key) const {
+  // No slot is ever freed, so linear probing from the key's home meets
+  // its slot before any free one.
+  std::size_t i = home(key);
+  while (slots_[i].key != key && !is_free(slots_[i])) {
+    i = (i + 1) & mask_;
+  }
+  return i;
+}
+
+void MultiprocRouter::KeyCounts::add(const std::vector<LogRecord>& batch) {
+  for (const LogRecord& lr : batch) {
+    unsettled_.emplace_back(lr.rec.key, lr.rec.side);
+  }
+  // Bounds the scan in get() when no pump() runs between commits.
+  if (unsettled_.size() >= 4096) settle();
+}
+
+void MultiprocRouter::KeyCounts::settle() {
+  if (unsettled_.empty()) return;
+  // 2^18 slots hold 196k keys at 3/4 load before the first doubling.
+  if (!slots_) resize(18);
+  while (4 * (used_ + unsettled_.size()) > 3 * (mask_ + 1)) {
+    resize(64 - shift_ + 1);
+  }
+  // Fetch every slot first, so the misses overlap.
+  for (const auto& [key, side] : unsettled_) {
+    __builtin_prefetch(&slots_[home(key)]);
+  }
+  for (const auto& [key, side] : unsettled_) {
+    Slot& s = slots_[probe(key)];
+    if (is_free(s)) {
+      s.key = key;
+      ++used_;
+    }
+    std::uint32_t& n = s.n[static_cast<int>(side)];
+    if (n != UINT32_MAX) ++n;
+  }
+  unsettled_.clear();
+}
+
+std::array<std::uint64_t, 2> MultiprocRouter::KeyCounts::get(
+    KeyId key) const {
+  std::array<std::uint64_t, 2> n{};
+  if (slots_) {
+    const Slot& s = slots_[probe(key)];  // a free slot's counts are zero
+    n = {s.n[0], s.n[1]};
+  }
+  for (const auto& [k, side] : unsettled_) {
+    if (k == key) ++n[static_cast<int>(side)];
+  }
+  return n;
 }
 
 std::vector<LogRecord> MultiprocRouter::dump_log() {
@@ -469,6 +543,9 @@ void MultiprocRouter::attach_worker(std::uint32_t w,
                 /*clean=*/false);
     return;
   }
+  // Commit while the slot is still down: a staged record reaches a
+  // restored worker through the log pass, never also directly.
+  commit_stage();
   s.conn = std::move(conn);
   s.alive = true;
   s.finished = false;
@@ -485,11 +562,8 @@ void MultiprocRouter::attach_worker(std::uint32_t w,
   ack.workers = cfg_.workers;
   ack.collect_matches = ship_pairs() ? 1 : 0;
   raw->send(wire_type(MsgType::kHelloAck), net::encode(ack));
-  if (s.incarnations > 1) restore_and_replay(w);
-  if (finishing_ && s.alive) {
-    flush_pending(w);
-    s.conn->send(wire_type(MsgType::kFinish), nullptr, 0);
-  }
+  if (s.incarnations > 1) restore_from_log(w);
+  if (finishing_) send_control(w, MsgType::kFinish, {});
   start_next_migration();  // a queued move may have waited on this worker
 }
 
@@ -518,12 +592,14 @@ void MultiprocRouter::on_worker_frame(std::uint32_t w, net::Frame& f) {
       return;
     }
     case MsgType::kCheckpointDone: {
-      net::SnapshotMsg m;
+      // The worker flushed its matches ahead of this answer, so E
+      // already moved with them.
+      net::CheckpointMsg m;
       if (!net::decode(f.payload, m)) {
         protocol_error(w, "bad CheckpointDone payload");
         return;
       }
-      on_checkpoint_done(w, std::move(m));
+      ++stats_.checkpoints_completed;
       return;
     }
     case MsgType::kExtractBatch: {
@@ -589,8 +665,37 @@ void MultiprocRouter::on_worker_close(std::uint32_t w,
 }
 
 // --------------------------------------------------------------------------
-// Crash handling
+// Crash handling and flush rounds
 // --------------------------------------------------------------------------
+
+template <typename F>
+std::uint64_t MultiprocRouter::walk_log_for(std::uint32_t w, F&& f) {
+  const std::uint64_t E = workers_[w].emit_watermark;
+  const std::uint64_t end = log_->end_offset(0);
+  std::uint64_t skipped = 0;
+  std::vector<LogRecord> buf;
+  std::uint64_t from = log_->start_offset(0);
+  while (from < end) {
+    buf.clear();
+    if (log_->read(0, from, 4096, buf) == 0) break;
+    for (const LogRecord& lr : buf) {
+      from = lr.offset + 1;
+      std::uint8_t flags = 0;
+      // Keys move whole, so w's store is every record of the (side, key)s
+      // it owns now, whatever owner the record was stamped with.
+      if (owner(lr.rec.side, lr.rec.key) == w) flags |= net::kDeliverStore;
+      if (lr.probe_dst == w) {
+        if (lr.offset >= E) {
+          flags |= net::kDeliverProbe;
+        } else {
+          ++skipped;
+        }
+      }
+      if (flags != 0) f(lr, flags);
+    }
+  }
+  return skipped;
+}
 
 void MultiprocRouter::handle_crash(std::uint32_t w,
                                    const std::string& reason) {
@@ -609,25 +714,12 @@ void MultiprocRouter::handle_crash(std::uint32_t w,
   }
 
   if (mig_ && (w == mig_->from || w == mig_->to)) {
-    if (mig_->phase == Migration::Phase::kEpilogue) {
-      // The crashed participant's post-migration checkpoint will never
-      // land; its recovery path re-injects the batch instead, so stop
-      // waiting for it.
-      for (auto it = mig_->epilogue_ckpts.begin();
-           it != mig_->epilogue_ckpts.end();) {
-        it = (it->second == w) ? mig_->epilogue_ckpts.erase(it)
-                               : std::next(it);
-      }
-      finish_migration_if_epilogue_done();
-    } else {
-      abort_migration("participant " + std::to_string(w) + " crashed");
-    }
+    abort_migration("participant " + std::to_string(w) + " crashed");
   }
 
   if (await_extract_.active && w == await_extract_.from) {
-    // The in-flight extract reply died with the source. Its last
-    // snapshot predates the extract (the reply is FIFO-ordered before
-    // any later CheckpointDone), so restore + replay regenerate the
+    // The in-flight extract reply died with the source. No route
+    // flipped, so the source's rebuild from the log restores the
     // extracted tuples in place — safe to unpark now.
     await_extract_.active = false;
     park_keys_.clear();
@@ -641,24 +733,12 @@ void MultiprocRouter::handle_crash(std::uint32_t w,
   }
 
   if (!cfg_.respawn) {
+    // Records committed from here on count as dropped in deliver();
+    // the ledger below covers the log up to now.
     s.dead_forever = true;
-    // Account what is now unrecoverable: log entries stamped for this
-    // worker above its checkpoint, plus uncheckpointed batch tuples.
-    const std::uint64_t end = log_->end_offset(0);
-    std::vector<LogRecord> buf;
-    std::uint64_t from = s.snapshot.consumed_offset;
-    while (from < end) {
-      buf.clear();
-      if (log_->read(0, from, 4096, buf) == 0) break;
-      for (const LogRecord& lr : buf) {
-        from = lr.offset + 1;
-        stats_.records_dropped +=
-            (lr.store_dst == w ? 1 : 0) + (lr.probe_dst == w ? 1 : 0);
-      }
-    }
-    for (const auto& r : s.reinject) {
-      stats_.records_dropped += r.batch.tuples.size();
-    }
+    walk_log_for(w, [this](const LogRecord&, std::uint8_t flags) {
+      stats_.records_dropped += deliver_halves(flags);
+    });
     return;
   }
 
@@ -678,114 +758,27 @@ bool MultiprocRouter::respawn_worker(std::uint32_t w, std::string* err) {
   return true;
 }
 
-void MultiprocRouter::restore_and_replay(std::uint32_t w) {
+void MultiprocRouter::restore_from_log(std::uint32_t w) {
   WorkerSlot& s = workers_[w];
-  FJ_INFO("multiproc") << "restoring worker " << w << " from offset "
-                       << s.snapshot.consumed_offset << ", emit watermark "
+  FJ_INFO("multiproc") << "rebuilding worker " << w
+                       << " from the log, emit watermark "
                        << s.emit_watermark;
-  // 1. Checkpoint snapshot (possibly empty: replay-from-zero).
-  s.conn->send(wire_type(MsgType::kRestore), net::encode(s.snapshot));
-  // 2. Absorbed-but-uncheckpointed migration batches. Deduplicated at
-  //    the worker, so overlap with the snapshot or the replay below is
-  //    harmless.
-  for (const WorkerSlot::Reinject& r : s.reinject) {
-    s.conn->send(wire_type(MsgType::kAbsorb), net::encode(r.batch));
-    stats_.reinjected_tuples += r.batch.tuples.size();
-  }
-  // 3. Replay log entries stamped for this worker above the snapshot's
-  //    consumed watermark — including anything published while the
-  //    worker was down (deliver() skips dead workers; the log doesn't).
-  const std::uint64_t C = s.snapshot.consumed_offset;
-  const std::uint64_t E = s.emit_watermark;
-  const std::uint64_t end = log_->end_offset(0);
-  std::vector<LogRecord> buf;
-  std::uint64_t from = C;
-  while (from < end) {
-    buf.clear();
-    if (log_->read(0, from, 4096, buf) == 0) break;
-    for (const LogRecord& lr : buf) {
-      from = lr.offset + 1;
-      std::uint8_t flags = 0;
-      if (lr.store_dst == w) flags |= net::kDeliverStore | net::kDedupStore;
-      if (lr.probe_dst == w) {
-        flags |= net::kDeliverProbe;
-        if (lr.offset < E) {
-          flags |= net::kSuppressEmit;
-          ++stats_.suppressed_probes;
-        }
-      }
-      if ((flags & (net::kDeliverStore | net::kDeliverProbe)) == 0) continue;
-      s.pending.entries.push_back(net::DataEntry{lr.offset, flags, lr.rec});
-      ++stats_.replayed_entries;
-      if (s.pending.entries.size() >= kDataFrameEntries) flush_pending(w);
-    }
-  }
+  stats_.skipped_probes += walk_log_for(
+      w, [this, w, &s](const LogRecord& lr, std::uint8_t flags) {
+        s.pending.entries.push_back(net::DataEntry{lr.offset, flags, lr.rec});
+        ++stats_.replayed_entries;
+        if (s.pending.entries.size() >= kDataFrameEntries) flush_pending(w);
+      });
   flush_pending(w);
-}
-
-// --------------------------------------------------------------------------
-// Checkpoints
-// --------------------------------------------------------------------------
-
-std::uint64_t MultiprocRouter::request_checkpoint_id(std::uint32_t w) {
-  const std::uint64_t id = next_ckpt_id_++;
-  WorkerSlot& s = workers_[w];
-  if (s.alive && s.conn) {
-    flush_pending(w);
-    net::CheckpointMsg m;
-    m.ckpt_id = id;
-    s.conn->send(wire_type(MsgType::kCheckpoint), net::encode(m));
-  }
-  return id;
 }
 
 void MultiprocRouter::checkpoint_round() {
   for (const WorkerSlot& s : workers_) {
-    if (s.alive && !s.finished) request_checkpoint_id(s.id);
+    if (!s.alive || s.finished) continue;
+    net::CheckpointMsg m;
+    m.ckpt_id = next_ckpt_id_++;
+    send_control(s.id, MsgType::kCheckpoint, net::encode(m));
   }
-}
-
-void MultiprocRouter::on_checkpoint_done(std::uint32_t w,
-                                         net::SnapshotMsg msg) {
-  WorkerSlot& s = workers_[w];
-  ++stats_.checkpoints_completed;
-  const std::uint64_t id = msg.ckpt_id;
-  s.emit_watermark = std::max(s.emit_watermark, msg.emit_offset);
-  if (cfg_.serve && id >= serve_snap_[w].ckpt_id) {
-    // Rebuild the query surface's per-key counts from this snapshot —
-    // a consistent cut of the worker's stores at consumed_offset.
-    ServeSnap& snap = serve_snap_[w];
-    snap.ckpt_id = id;
-    snap.counts[0].clear();
-    snap.counts[1].clear();
-    for (const net::WireTuple& t : msg.tuples) {
-      ++snap.counts[static_cast<int>(t.side)][t.key];
-    }
-  }
-  if (id >= s.snapshot.ckpt_id) s.snapshot = std::move(msg);
-  // Batches absorbed before this checkpoint was requested are now
-  // inside the snapshot — stop carrying them.
-  s.reinject.erase(
-      std::remove_if(s.reinject.begin(), s.reinject.end(),
-                     [id](const WorkerSlot::Reinject& r) {
-                       return id >= r.safe_after;
-                     }),
-      s.reinject.end());
-  if (mig_ && mig_->phase == Migration::Phase::kEpilogue &&
-      mig_->epilogue_ckpts.erase(id) != 0) {
-    finish_migration_if_epilogue_done();
-  }
-  maybe_truncate_log();
-}
-
-void MultiprocRouter::maybe_truncate_log() {
-  if (!cfg_.truncate_log) return;
-  std::uint64_t floor = UINT64_MAX;
-  for (const WorkerSlot& s : workers_) {
-    if (s.dead_forever) continue;
-    floor = std::min(floor, s.snapshot.consumed_offset);
-  }
-  if (floor != UINT64_MAX && floor > 0) log_->truncate_before(0, floor);
 }
 
 // --------------------------------------------------------------------------
@@ -846,14 +839,16 @@ void MultiprocRouter::start_migration(QueuedMigration q) {
                        << mig_->keys.size() << " keys of side "
                        << side_name(mig_->side) << " from worker "
                        << mig_->from << " to " << mig_->to;
-  flush_pending(mig_->from);
+  const std::uint64_t id = mig_->id;
   net::ExtractMsg m;
-  m.mig_id = mig_->id;
+  m.mig_id = id;
   m.side = mig_->side;
   m.keys = mig_->keys;
-  workers_[mig_->from].conn->send(wire_type(MsgType::kExtract),
-                                  net::encode(m));
-  arm_migration_timer();
+  // A crash inside the send's flush aborts this migration on the spot.
+  if (send_control(mig_->from, MsgType::kExtract, net::encode(m)) && mig_ &&
+      mig_->id == id) {
+    arm_migration_timer();
+  }
 }
 
 void MultiprocRouter::arm_migration_timer() {
@@ -861,10 +856,7 @@ void MultiprocRouter::arm_migration_timer() {
   mig_->timer = loop_.add_timer(
       std::chrono::steady_clock::now() + kMigrationTimeout,
       [this, id] {
-        if (mig_ && mig_->id == id &&
-            mig_->phase != Migration::Phase::kEpilogue) {
-          abort_migration("timeout");
-        }
+        if (mig_ && mig_->id == id) abort_migration("timeout");
       });
 }
 
@@ -874,12 +866,12 @@ void MultiprocRouter::on_extract_batch(std::uint32_t w,
       w != mig_->from || msg.mig_id != mig_->id) {
     // A reply that outlived its migration (timeout/abort raced the
     // worker). The tuples left a store — put them back where they
-    // came from; dedup at the worker absorbs any overlap.
-    reinject_into(w, std::move(msg.tuples));
+    // came from.
+    return_to_source(w, std::move(msg.tuples));
     if (await_extract_.active && w == await_extract_.from &&
         msg.mig_id == await_extract_.mig_id) {
-      // The aborted migration's tuples are home again; the reinject is
-      // queued ahead of whatever we unpark now, so probes can't miss.
+      // The aborted migration's tuples are home again, queued ahead of
+      // whatever we unpark now, so probes can't miss.
       await_extract_.active = false;
       park_keys_.clear();
       unpark();
@@ -890,18 +882,18 @@ void MultiprocRouter::on_extract_batch(std::uint32_t w,
   loop_.cancel_timer(mig_->timer);
   stats_.tuples_migrated += msg.tuples.size();
   mig_->batch = std::move(msg);
-  WorkerSlot& t = workers_[mig_->to];
-  if (!t.alive || !t.conn) {
-    abort_migration("target offline at absorb");
+  // From here an abort returns the batch to the source.
+  mig_->phase = Migration::Phase::kAbsorbWait;
+  const std::uint64_t id = mig_->id;
+  net::AbsorbMsg ab;
+  ab.mig_id = id;
+  ab.tuples = mig_->batch.tuples;  // the router keeps its copy until the ack
+  if (!send_control(mig_->to, MsgType::kAbsorb, net::encode(ab))) {
+    // A target crash inside the send's flush has aborted it already.
+    if (mig_ && mig_->id == id) abort_migration("target offline at absorb");
     return;
   }
-  flush_pending(mig_->to);
-  net::AbsorbMsg ab;
-  ab.mig_id = mig_->id;
-  ab.tuples = mig_->batch.tuples;  // router keeps the original for crash safety
-  t.conn->send(wire_type(MsgType::kAbsorb), net::encode(ab));
-  mig_->phase = Migration::Phase::kAbsorbWait;
-  arm_migration_timer();
+  if (mig_ && mig_->id == id) arm_migration_timer();
 }
 
 void MultiprocRouter::on_absorb_ack(std::uint32_t w,
@@ -915,25 +907,15 @@ void MultiprocRouter::on_absorb_ack(std::uint32_t w,
     return;
   }
   loop_.cancel_timer(mig_->timer);
-  WorkerSlot& t = workers_[mig_->to];
-  // Crash window: absorbed but not yet covered by a target checkpoint.
-  t.reinject.push_back(WorkerSlot::Reinject{
-      net::AbsorbMsg{0, std::move(mig_->batch.tuples)}, next_ckpt_id_});
+  // The flip. The target now holds the keys' whole history, and the
+  // records parked meanwhile are logged behind it with its stamps.
   const int side = static_cast<int>(mig_->side);
   for (KeyId k : mig_->keys) overrides_[side][k] = mig_->to;
+  ++stats_.migrations_completed;
+  mig_.reset();
   park_keys_.clear();
   unpark();
-  mig_->phase = Migration::Phase::kEpilogue;
-  ++stats_.migrations_completed;
-  // Post-migration checkpoints pin both participants' replay floors
-  // above the move, so a later crash replays tuples from snapshots,
-  // never from entries that predate the flip.
-  for (std::uint32_t p : {mig_->from, mig_->to}) {
-    if (workers_[p].alive) {
-      mig_->epilogue_ckpts[request_checkpoint_id(p)] = p;
-    }
-  }
-  finish_migration_if_epilogue_done();
+  start_next_migration();
 }
 
 void MultiprocRouter::abort_migration(const std::string& why) {
@@ -954,26 +936,17 @@ void MultiprocRouter::abort_migration(const std::string& why) {
     // The source has already been told to extract; its store no longer
     // holds the keys, and the tuples are somewhere between its stream
     // position and ours. Keep the keys parked until the reply lands
-    // (on_extract_batch stale path) or the source crashes (its restore
-    // snapshot predates the extract, regenerating the tuples in place).
+    // (on_extract_batch stale path) or the source crashes (no route
+    // flipped, so its rebuild from the log restores the tuples).
     await_extract_ = AwaitExtract{id, from, true};
     return;
   }
   park_keys_.clear();
   // No route flip. Extracted tuples (if any) go back to the source;
   // parked records route to their original owners. FIFO on the source
-  // connection orders the reinject before the unparked records.
-  if (!tuples.empty()) reinject_into(from, std::move(tuples));
+  // connection orders the return before the unparked records.
+  return_to_source(from, std::move(tuples));
   unpark();
-  start_next_migration();
-}
-
-void MultiprocRouter::finish_migration_if_epilogue_done() {
-  if (!mig_ || mig_->phase != Migration::Phase::kEpilogue ||
-      !mig_->epilogue_ckpts.empty()) {
-    return;
-  }
-  mig_.reset();
   start_next_migration();
 }
 
@@ -987,24 +960,15 @@ void MultiprocRouter::unpark() {
   commit_stage();
 }
 
-void MultiprocRouter::reinject_into(std::uint32_t w,
-                                    std::vector<net::WireTuple> tuples) {
+void MultiprocRouter::return_to_source(std::uint32_t w,
+                                       std::vector<net::WireTuple> tuples) {
   if (tuples.empty()) return;
-  WorkerSlot& s = workers_[w];
-  if (s.dead_forever) {
-    stats_.records_dropped += tuples.size();
-    return;
-  }
   net::AbsorbMsg m;
   m.mig_id = 0;
   m.tuples = std::move(tuples);
-  if (s.alive && s.conn) {
-    flush_pending(w);
-    s.conn->send(wire_type(MsgType::kAbsorb), net::encode(m));
-    stats_.reinjected_tuples += m.tuples.size();
-  }
-  // Carried until a checkpoint covers it (re-sent after any crash).
-  s.reinject.push_back(WorkerSlot::Reinject{std::move(m), next_ckpt_id_});
+  // A source that is down gets the tuples back from its rebuild, or its
+  // drop ledger counts them with the rest of its store.
+  send_control(w, MsgType::kAbsorb, net::encode(m));
 }
 
 // --------------------------------------------------------------------------
@@ -1055,11 +1019,9 @@ bool MultiprocRouter::finish(std::chrono::milliseconds timeout) {
   }
 
   finishing_ = true;
-  for (WorkerSlot& s : workers_) {
-    if (!s.dead_forever && s.alive && !s.finished && s.conn) {
-      flush_pending(s.id);
-      s.conn->send(wire_type(MsgType::kFinish), nullptr, 0);
-    }
+  for (const WorkerSlot& s : workers_) {
+    // A worker that is down gets its kFinish when it re-attaches.
+    if (!s.finished) send_control(s.id, MsgType::kFinish, {});
   }
   bool all = false;
   for (;;) {
@@ -1097,8 +1059,12 @@ struct WorkerState {
   net::FinalMsg fin;
 };
 
-bool flush_matches(net::FrameConn& conn, WorkerState& st) {
-  if (st.out.count == 0) return true;
+/// Ship the pending matches with emit watermark E = consumed. A flush
+/// round and an extract flush even when none are pending, so that E
+/// reaches the consumed offset there.
+bool flush_matches(net::FrameConn& conn, WorkerState& st,
+                   bool always = false) {
+  if (st.out.count == 0 && !always) return true;
   st.out.emit_offset = st.consumed;
   const bool ok = conn.write_frame(wire_type(MsgType::kMatches),
                                    net::encode(st.out));
@@ -1109,50 +1075,27 @@ bool flush_matches(net::FrameConn& conn, WorkerState& st) {
 void process_entry(WorkerState& st, const net::DataEntry& e) {
   const Record& rec = e.rec;
   if (e.flags & net::kDeliverStore) {
-    JoinStore& store = st.stores[static_cast<int>(rec.side)];
-    if ((e.flags & net::kDedupStore) && store.contains(rec.key, rec.seq)) {
-      ++st.fin.dedup_skipped;
-    } else {
-      store.insert(rec.key, StoredTuple{rec.seq, rec.payload, rec.ts, 0});
-      ++st.fin.stores;
-    }
+    st.stores[static_cast<int>(rec.side)].insert(
+        rec.key, StoredTuple{rec.seq, rec.payload, rec.ts, 0});
+    ++st.fin.stores;
   }
   if (e.flags & net::kDeliverProbe) {
     ++st.fin.probes;
     // probe_each walks the whole bucket. probe_count would be exact here
-    // too; it waits for incremental checkpoints, because a faster worker
-    // takes its whole-store snapshots sooner and raises peak RSS.
+    // too (every bucket holds its key's records in log order); the
+    // switch waits for a benchmark run long enough to show it.
     const JoinStore& store =
         st.stores[static_cast<int>(other_side(rec.side))];
-    const bool suppress = (e.flags & net::kSuppressEmit) != 0;
     const std::uint64_t n =
-        st.collect && !suppress
-            ? store.probe_each(rec,
-                               [&st](const MatchPair& p) {
-                                 st.out.pairs.push_back(p);
-                               })
-            : store.probe_each(rec, [](const MatchPair&) {});
-    if (suppress) {
-      st.fin.suppressed += n;
-    } else {
-      st.fin.matches += n;
-      st.out.count += n;
-    }
+        st.collect ? store.probe_each(rec,
+                                      [&st](const MatchPair& p) {
+                                        st.out.pairs.push_back(p);
+                                      })
+                   : store.probe_each(rec, [](const MatchPair&) {});
+    st.fin.matches += n;
+    st.out.count += n;
   }
   st.consumed = e.offset + 1;
-}
-
-void snapshot_stores(const WorkerState& st, net::SnapshotMsg& snap) {
-  for (int side = 0; side < 2; ++side) {
-    for (KeyId k : st.stores[side].keys()) {
-      const JoinStore::Bucket* b = st.stores[side].find(k);
-      if (b == nullptr) continue;
-      for (const StoredTuple& t : *b) {
-        snap.tuples.push_back(
-            net::WireTuple{static_cast<Side>(side), k, t});
-      }
-    }
-  }
 }
 
 void absorb_tuples(WorkerState& st, const net::AbsorbMsg& m) {
@@ -1221,7 +1164,7 @@ int multiproc_worker_run(std::uint32_t worker_id,
         if (!net::decode(f.payload, m)) return 3;
         // Flush first: the emit watermark must cover every probe this
         // worker processed for the departing keys.
-        if (!flush_matches(conn, st)) return 2;
+        if (!flush_matches(conn, st, /*always=*/true)) return 2;
         net::ExtractBatchMsg resp;
         resp.mig_id = m.mig_id;
         resp.consumed_offset = st.consumed;
@@ -1254,29 +1197,13 @@ int multiproc_worker_run(std::uint32_t worker_id,
       case MsgType::kCheckpoint: {
         net::CheckpointMsg m;
         if (!net::decode(f.payload, m)) return 3;
-        // Flush-before-checkpoint: guarantees emit watermark >=
-        // consumed watermark at every snapshot the router holds.
-        if (!flush_matches(conn, st)) return 2;
-        net::SnapshotMsg snap;
-        snap.ckpt_id = m.ckpt_id;
-        snap.consumed_offset = st.consumed;
-        snap.emit_offset = st.consumed;
-        snapshot_stores(st, snap);
-        if (!conn.write_frame(wire_type(MsgType::kCheckpointDone),
-                              net::encode(snap))) {
+        // A flush round: E reaches the consumed offset, and the answer
+        // carries only the round id.
+        if (!flush_matches(conn, st, /*always=*/true) ||
+            !conn.write_frame(wire_type(MsgType::kCheckpointDone),
+                              net::encode(m))) {
           return 2;
         }
-        break;
-      }
-      case MsgType::kRestore: {
-        net::SnapshotMsg m;
-        if (!net::decode(f.payload, m)) return 3;
-        st.stores[0] = JoinStore(0);
-        st.stores[1] = JoinStore(0);
-        for (const net::WireTuple& t : m.tuples) {
-          st.stores[static_cast<int>(t.side)].insert(t.key, t.tuple);
-        }
-        st.consumed = m.consumed_offset;
         break;
       }
       case MsgType::kFinish: {

@@ -12,18 +12,19 @@
 // *first*, stamped with the publish-time routing decision
 // (store_dst / probe_dst = worker ids), and only then framed to the
 // workers. The log is therefore a complete, replayable account of what
-// each worker was supposed to receive, which is what makes crash
-// recovery exact:
+// each worker was supposed to receive, and a worker's store is a pure
+// function of it: the store halves of the records whose (side, key)
+// the worker owns now, in offset order. That is what makes crash
+// recovery exact without any worker ever shipping its store:
 //
 //   crash    = socket EOF (or waitpid) on a worker connection
-//   recover  = SIGKILL the remains, fork/exec a fresh worker,
-//              kRestore its last checkpoint snapshot (consumed
-//              watermark C), re-inject any absorbed-but-uncheckpointed
-//              migration batches (kAbsorb, seq-deduplicated), then
-//              replay log entries with offset >= C stamped for that
-//              worker — store halves deduplicated, probe halves below
-//              the emit watermark E flagged kSuppressEmit so already-
-//              delivered matches are not emitted twice.
+//   recover  = SIGKILL the remains, fork/exec a fresh worker, then one
+//              pass over the log in offset order: the store half of
+//              every record whose (side, key) the worker owns now
+//              (owner(), not the publish-time stamp), and the probe
+//              half of every record stamped for it at offset >= its
+//              emit watermark E. Probes below E are skipped: their
+//              matches already reached the router.
 //
 // Batch append: the router stages each routed record in publish order,
 // its stamps and its park decision fixed at publish. A commit logs the
@@ -44,9 +45,13 @@
 // before the later tuple's probe delivery at their shared worker —
 // guaranteed because the router is a single producer and each
 // connection is FIFO. Workers flush kMatches (with an exclusive emit
-// watermark) before answering kCheckpoint or kExtract, so E >= C
-// always and replayed probes below E are exactly the already-emitted
-// ones.
+// watermark, even when no match is pending) before answering kCheckpoint
+// or kExtract, so a flush round or an extract raises E to the worker's
+// consumed offset. A probe at or above E replays to the same matches,
+// because keys move whole (below) and any move away from a worker
+// passes an extract, which lifts E past every probe the worker got for
+// the moving keys. docs/migration_protocol.md ("Wire mapping") has the
+// full argument.
 //
 // Migration ("park at the router"): the single ingest point collapses
 // the in-process Hold/TakeForward/Release machinery. While keys move,
@@ -56,8 +61,10 @@
 // docs/migration_protocol.md ("Wire mapping").
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -93,14 +100,14 @@ struct MultiprocConfig {
   /// Ship MatchPair tuples to the router (for output comparison); when
   /// false only counts travel.
   bool collect_matches = false;
-  /// Broadcast a checkpoint round every N published records (0 = only
-  /// the forced post-migration checkpoints).
+  /// Broadcast a flush round (kCheckpoint) every N published records
+  /// (0 = never). A round advances every worker's emit watermark, so a
+  /// later restore replays fewer probes; no store state travels.
   std::uint64_t checkpoint_every = 0;
-  /// Respawn + replay crashed workers. When false a crash permanently
-  /// loses the worker and its undelivered entries count as dropped.
+  /// Respawn + rebuild crashed workers. When false a crash permanently
+  /// loses the worker and its store and undelivered halves count as
+  /// dropped.
   bool respawn = true;
-  /// Drop log segments below the minimum checkpointed offset.
-  bool truncate_log = true;
   /// StreamLog shape (partitions is forced to 1: the router is the
   /// only producer). backend kFile makes the substrate durable on
   /// disk; kMemory is enough for worker-crash replay since the log
@@ -124,13 +131,12 @@ struct MultiprocStats {
   std::uint64_t records_parked = 0;    ///< records parked during migrations
   std::uint64_t worker_crashes = 0;
   std::uint64_t respawns = 0;
-  std::uint64_t replayed_entries = 0;  ///< log entries re-sent after a crash
-  std::uint64_t suppressed_probes = 0; ///< probe halves replayed suppressed
-  std::uint64_t reinjected_tuples = 0; ///< tuples re-absorbed after a crash
+  std::uint64_t replayed_entries = 0;  ///< log entries re-sent by restores
+  std::uint64_t skipped_probes = 0;    ///< restore probes below E, not re-sent
   std::uint64_t migrations_started = 0;
   std::uint64_t migrations_completed = 0;
   std::uint64_t migrations_aborted = 0;
-  std::uint64_t checkpoints_completed = 0;
+  std::uint64_t checkpoints_completed = 0;  ///< flush rounds answered
   std::uint64_t tuples_migrated = 0;
   /// Per-worker finals from the kFinal frames (filled by finish()).
   std::vector<net::FinalMsg> worker_finals;
@@ -164,9 +170,7 @@ class MultiprocRouter {
 
   /// Move `keys` of `side` from worker `from` to worker `to` via the
   /// Extract/Absorb wire protocol. Queued when a migration is already
-  /// in flight (one at a time, and the post-migration checkpoints of
-  /// the previous one must land first — that ordering is what keeps
-  /// crash replay and re-injection from overlapping).
+  /// in flight (one at a time: a migration owns the park).
   bool request_migration(Side side, std::uint32_t from, std::uint32_t to,
                          std::vector<KeyId> keys);
   bool migration_idle() const {
@@ -197,10 +201,9 @@ class MultiprocRouter {
   /// start()). Admission stats and tenant accounting live here.
   server::FrontDoor* frontdoor() { return frontdoor_.get(); }
 
-  /// Copy of the retained log (partition 0) in offset order — the
-  /// replayable account of everything the router ingested. With
-  /// truncate_log=false this is the full input history; the serving
-  /// e2e test replays it through the in-process engine to obtain the
+  /// Copy of the log (partition 0) in offset order — the full input
+  /// history, since restores read it from its start. The serving e2e
+  /// test replays it through the in-process engine to obtain the
   /// byte-identical ground truth for front-door ingest, whose seq/ts
   /// stamps exist only in the router. Commits the stage first, so every
   /// published record is included.
@@ -216,25 +219,15 @@ class MultiprocRouter {
     bool finished = false;       ///< clean kFinal received
     std::uint32_t incarnations = 0;
     net::DataBatchMsg pending;   ///< entries not yet framed
-    /// Latest checkpoint; consumed_offset is the exclusive replay
-    /// floor C (0 = never checkpointed, replay from the log start).
-    net::SnapshotMsg snapshot;
     /// Exclusive emit watermark E: matches of probe deliveries below
-    /// this offset have been received by the router.
+    /// this offset have been received by the router. Kept across
+    /// incarnations: it is what a restore skips.
     std::uint64_t emit_watermark = 0;
-    /// Absorbed batches not yet covered by a checkpoint: must be
-    /// re-injected if this worker crashes before completing a
-    /// checkpoint with id >= safe_after.
-    struct Reinject {
-      net::AbsorbMsg batch;
-      std::uint64_t safe_after = 0;
-    };
-    std::vector<Reinject> reinject;
     std::optional<net::FinalMsg> final;
   };
 
   struct Migration {
-    enum class Phase { kExtractWait, kAbsorbWait, kEpilogue };
+    enum class Phase { kExtractWait, kAbsorbWait };
     std::uint64_t id = 0;
     Side side = Side::kR;
     std::uint32_t from = 0;
@@ -243,9 +236,6 @@ class MultiprocRouter {
     Phase phase = Phase::kExtractWait;
     net::ExtractBatchMsg batch;
     net::EventLoop::TimerId timer = 0;
-    /// Pending post-migration checkpoint ids -> participant worker, so
-    /// a participant crash can drop exactly its own pending entry.
-    std::unordered_map<std::uint64_t, std::uint32_t> epilogue_ckpts;
   };
 
   struct QueuedMigration {
@@ -264,6 +254,10 @@ class MultiprocRouter {
                std::uint8_t flags);
   void flush_pending(std::uint32_t w);
   void flush_all_pending();
+  /// Queue a control frame to `w` behind its pending deliveries. False
+  /// when `w` is down, or went down (crash handling done) flushing them.
+  bool send_control(std::uint32_t w, net::MsgType type,
+                    const std::vector<std::byte>& payload);
   void wait_writable();
 
   // Connection plumbing.
@@ -277,15 +271,18 @@ class MultiprocRouter {
   // Crash handling.
   void handle_crash(std::uint32_t w, const std::string& reason);
   bool respawn_worker(std::uint32_t w, std::string* err);
-  void restore_and_replay(std::uint32_t w);
+  /// One offset-order pass over the log: f(record, flags) for each
+  /// record with a half worker w needs after a crash — the store half
+  /// when w owns its (side, key) now, the probe half when stamped for w
+  /// at or above E. Returns the probes skipped below E.
+  template <typename F>
+  std::uint64_t walk_log_for(std::uint32_t w, F&& f);
+  /// Rebuild a re-attached worker from one pass over the log.
+  void restore_from_log(std::uint32_t w);
   std::vector<std::string> worker_argv(std::uint32_t w) const;
 
-  // Checkpoints.
-  /// Issue a checkpoint request to `w`; returns the assigned ckpt id.
-  std::uint64_t request_checkpoint_id(std::uint32_t w);
+  /// Flush round: every live worker flushes its matches and answers.
   void checkpoint_round();
-  void on_checkpoint_done(std::uint32_t w, net::SnapshotMsg msg);
-  void maybe_truncate_log();
 
   // Serving front door. The sink/query callbacks run inside event-loop
   // dispatch, so they must never pump() (re-entrancy) — the sink
@@ -306,9 +303,10 @@ class MultiprocRouter {
   void on_extract_batch(std::uint32_t w, net::ExtractBatchMsg msg);
   void on_absorb_ack(std::uint32_t w, net::AbsorbAckMsg msg);
   void abort_migration(const std::string& why);
-  void finish_migration_if_epilogue_done();
   void unpark();
-  void reinject_into(std::uint32_t w, std::vector<net::WireTuple> tuples);
+  /// Return an aborted extract's tuples to a live source. A source that
+  /// is down gets them back from its rebuild instead (no route flipped).
+  void return_to_source(std::uint32_t w, std::vector<net::WireTuple> tuples);
   void arm_migration_timer();
 
   MultiprocConfig cfg_;
@@ -335,9 +333,9 @@ class MultiprocRouter {
   std::unordered_set<KeyId> park_keys_;
 
   /// An aborted migration whose kExtract reply is still in flight. The
-  /// source already removed the tuples from its store, and the reinject
-  /// can only be queued once the reply lands — so the keys stay parked
-  /// until then, or probes racing the reply lose matches forever. While
+  /// source already removed the tuples from its store, and they can
+  /// only go back once the reply lands — so the keys stay parked until
+  /// then, or probes racing the reply lose matches forever. While
   /// active, no new migration may start (it would repurpose the park).
   struct AwaitExtract {
     std::uint64_t mig_id = 0;
@@ -362,13 +360,42 @@ class MultiprocRouter {
   /// a global arrival ts. Clients cannot forge positions.
   std::uint64_t serve_next_seq_[2] = {0, 0};
   std::uint64_t serve_next_ts_ = 0;
-  /// Per-worker per-key stored-tuple counts rebuilt from each completed
-  /// checkpoint snapshot — the query surface's consistent cut.
-  struct ServeSnap {
-    std::unordered_map<KeyId, std::uint64_t> counts[2];
-    std::uint64_t ckpt_id = 0;
+  /// Logged records per key and side, counted at commit: the query
+  /// surface's cut is the log's end, consistent by construction. A
+  /// committed record counts at once, but the table update that costs
+  /// a cache miss per record waits for settle(), which pump() runs after
+  /// the dispatch pass that acked the append; until then get() finds
+  /// the record in a short unsettled list. The table is open addressing
+  /// over 16-byte slots, starting at 4 MiB, calloc'd, so only pages keys
+  /// hash to become resident. A count saturates at 2^32 - 1 (200 GB of
+  /// one key's side at 48 B a log record).
+  class KeyCounts {
+   public:
+    void add(const std::vector<LogRecord>& batch);
+    void settle();
+    std::array<std::uint64_t, 2> get(KeyId key) const;
+
+   private:
+    struct Slot {
+      KeyId key;
+      std::array<std::uint32_t, 2> n;  ///< both zero: the slot is free
+    };
+    static bool is_free(const Slot& s) { return (s.n[0] | s.n[1]) == 0; }
+    std::size_t home(KeyId key) const {
+      return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >>
+                                      shift_);
+    }
+    /// The key's slot, or the free slot where it would go.
+    std::size_t probe(KeyId key) const;
+    void resize(unsigned bits);
+
+    std::unique_ptr<Slot[], decltype(&std::free)> slots_{nullptr, &std::free};
+    std::size_t mask_ = 0;
+    unsigned shift_ = 64;
+    std::size_t used_ = 0;
+    std::vector<std::pair<KeyId, Side>> unsettled_;
   };
-  std::vector<ServeSnap> serve_snap_;
+  KeyCounts serve_counts_;
   /// Bounded ring of the newest match pairs (query "recent matches").
   std::deque<MatchPair> serve_recent_;
   static constexpr std::size_t kServeRecentCap = 4096;

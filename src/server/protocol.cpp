@@ -174,7 +174,7 @@ std::vector<std::byte> encode(const QueryResultMsg& m) {
   w.u64(m.s_tuples);
   w.u32(m.owner_r);
   w.u32(m.owner_s);
-  w.u64(m.as_of_ckpt);
+  w.u64(m.as_of);
   w.u64(m.matches_total);
   w.u32(static_cast<std::uint32_t>(m.recent.size()));
   for (const MatchPair& p : m.recent) {
@@ -190,7 +190,7 @@ bool decode(const std::vector<std::byte>& p, QueryResultMsg& m) {
   std::uint32_t n = 0;
   if (!(r.u64(m.req_id) && r.u64(m.key) && r.u64(m.r_tuples) &&
         r.u64(m.s_tuples) && r.u32(m.owner_r) && r.u32(m.owner_s) &&
-        r.u64(m.as_of_ckpt) && r.u64(m.matches_total) &&
+        r.u64(m.as_of) && r.u64(m.matches_total) &&
         read_count(r, kMatchPairBytes, n))) {
     return false;
   }

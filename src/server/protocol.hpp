@@ -126,15 +126,14 @@ struct QueryMsg {
 struct QueryResultMsg {
   std::uint64_t req_id = 0;
   KeyId key = 0;
-  /// Stored-tuple counts for the key per side, from the latest
-  /// completed checkpoint snapshots (a consistent per-worker cut).
+  /// Logged records of the key per side, counted up to `as_of`.
   std::uint64_t r_tuples = 0;
   std::uint64_t s_tuples = 0;
   std::uint32_t owner_r = 0;  ///< worker owning the key's R-side store
   std::uint32_t owner_s = 0;
-  /// Smallest checkpoint id across live workers whose snapshots back
-  /// this answer (0 = no checkpoint has completed yet).
-  std::uint64_t as_of_ckpt = 0;
+  /// Log end offset (exclusive) the counts reflect: the router's
+  /// admitted cut. Parked records count once they are logged.
+  std::uint64_t as_of = 0;
   std::uint64_t matches_total = 0;  ///< cluster-wide emitted matches
   std::vector<MatchPair> recent;    ///< recent matches for this key
 };

@@ -94,8 +94,8 @@ void gen_wire(const fs::path& dir) {
     net::DataEntry e;
     e.offset = 10 + i;
     e.flags = static_cast<std::uint8_t>(
-        (i % 2 ? net::kDeliverProbe : net::kDeliverStore) |
-        (i == 2 ? net::kDedupStore : 0));
+        i == 2 ? net::kDeliverStore | net::kDeliverProbe
+               : (i % 2 ? net::kDeliverProbe : net::kDeliverStore));
     e.rec = Record{7 + i, 70 + i, 700 + i, static_cast<SimTime>(i),
                    (i & 1) ? Side::kS : Side::kR};
     batch.entries.push_back(e);
@@ -130,7 +130,7 @@ void gen_wire(const fs::path& dir) {
   mb.count = 2;
   mb.pairs = {MatchPair{1, 2, 3}, MatchPair{4, 5, 6}};
   raw_seed(9, "match_batch", encode(mb));
-  net::FinalMsg fin{10, 11, 12, 1, 2, 3};
+  net::FinalMsg fin{10, 11, 12, 2, 3};
   raw_seed(10, "final", encode(fin));
 }
 
@@ -183,7 +183,7 @@ void gen_client(const fs::path& dir) {
   qr.s_tuples = 3;
   qr.owner_r = 0;
   qr.owner_s = 1;
-  qr.as_of_ckpt = 4;
+  qr.as_of = 4;
   qr.matches_total = 6;
   qr.recent = {MatchPair{77, 1, 2}};
   raw_seed(6, "query_result", encode(qr));

@@ -130,7 +130,7 @@ void run_type(std::uint8_t selector, FuzzSource& src) {
       m.s_tuples = src.u64();
       m.owner_r = src.u32();
       m.owner_s = src.u32();
-      m.as_of_ckpt = src.u64();
+      m.as_of = src.u64();
       m.matches_total = src.u64();
       const std::uint32_t n = src.below(kMaxVec);
       for (std::uint32_t i = 0; i < n; ++i) {

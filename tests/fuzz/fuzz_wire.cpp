@@ -108,10 +108,9 @@ void run_type(std::uint8_t selector, FuzzSource& src) {
       for (std::uint32_t i = 0; i < n; ++i) {
         net::DataEntry e;
         e.offset = src.u64();
-        // Decode requires a delivery half; keep the draw in-domain.
-        e.flags = static_cast<std::uint8_t>(
-            (src.u8() & (net::kSuppressEmit | net::kDedupStore)) |
-            (1 + src.below(3)));
+        // Decode requires a delivery half and nothing else; keep the
+        // draw in-domain.
+        e.flags = static_cast<std::uint8_t>(1 + src.below(3));
         e.rec = draw_record(src);
         m.entries.push_back(e);
       }
@@ -192,7 +191,6 @@ void run_type(std::uint8_t selector, FuzzSource& src) {
       m.stores = src.u64();
       m.probes = src.u64();
       m.matches = src.u64();
-      m.suppressed = src.u64();
       m.dedup_skipped = src.u64();
       m.absorbed = src.u64();
       return check_structured(m);

@@ -91,8 +91,8 @@ inline bool eq(const net::MatchBatchMsg& a, const net::MatchBatchMsg& b) {
 
 inline bool eq(const net::FinalMsg& a, const net::FinalMsg& b) {
   return a.stores == b.stores && a.probes == b.probes &&
-         a.matches == b.matches && a.suppressed == b.suppressed &&
-         a.dedup_skipped == b.dedup_skipped && a.absorbed == b.absorbed;
+         a.matches == b.matches && a.dedup_skipped == b.dedup_skipped &&
+         a.absorbed == b.absorbed;
 }
 
 // ---- client protocol messages (server/protocol.hpp) ----
@@ -134,7 +134,7 @@ inline bool eq(const server::QueryResultMsg& a,
   return a.req_id == b.req_id && a.key == b.key &&
          a.r_tuples == b.r_tuples && a.s_tuples == b.s_tuples &&
          a.owner_r == b.owner_r && a.owner_s == b.owner_s &&
-         a.as_of_ckpt == b.as_of_ckpt &&
+         a.as_of == b.as_of &&
          a.matches_total == b.matches_total && eq_vec(a.recent, b.recent);
 }
 

@@ -88,14 +88,12 @@ TEST(GoldenWire, DataBatch) {
   DataBatchMsg m;
   m.entries.push_back(DataEntry{10, kDeliverStore, sample_record(0)});
   m.entries.push_back(DataEntry{
-      11,
-      static_cast<std::uint8_t>(kDeliverStore | kDeliverProbe |
-                                kSuppressEmit),
+      11, static_cast<std::uint8_t>(kDeliverStore | kDeliverProbe),
       sample_record(1)});
   expect_golden(
       m,
       "020000000a000000000000000164000000000000000000000000000000"
-      "00000000000000000000000000000000000b0000000000000007650000"
+      "00000000000000000000000000000000000b0000000000000003650000"
       "000000000001000000000000001f000000000000000700000000000000"
       "01");
 }
@@ -172,12 +170,11 @@ TEST(GoldenWire, Final) {
   m.stores = 1;
   m.probes = 2;
   m.matches = 3;
-  m.suppressed = 4;
   m.dedup_skipped = 5;
   m.absorbed = 6;
   expect_golden(m,
                 "010000000000000002000000000000000300000000000000"
-                "040000000000000005000000000000000600000000000000");
+                "05000000000000000600000000000000");
 }
 
 TEST(GoldenWire, ClientHello) {
@@ -249,7 +246,7 @@ TEST(GoldenWire, QueryResult) {
   m.s_tuples = 20;
   m.owner_r = 1;
   m.owner_s = 2;
-  m.as_of_ckpt = 5;
+  m.as_of = 5;
   m.matches_total = 200;
   m.recent = {MatchPair{1, 2, 3}, MatchPair{4, 5, 6}};
   expect_golden(m,

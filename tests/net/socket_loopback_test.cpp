@@ -88,6 +88,85 @@ TEST(Socket, UnixBlockingEchoRoundtrip) {
   ::unlink(ep.path.c_str());
 }
 
+void noop_handler(int) {}
+
+TEST(Socket, VectoredWriteFrameIsByteIdenticalToEncodeFrame) {
+  // FrameConn::write_frame sends header and payload as one vectored
+  // write. The bytes must be exactly encode_frame()'s, including a
+  // payload far past the socket buffer read slowly while signals hit
+  // the blocked writer, which forces short writes that end inside the
+  // payload.
+  struct sigaction sa = {};
+  struct sigaction old = {};
+  sa.sa_handler = noop_handler;
+  sigemptyset(&sa.sa_mask);
+  sa.sa_flags = 0;  // deliberately no SA_RESTART
+  ASSERT_EQ(sigaction(SIGUSR1, &sa, &old), 0);
+  Endpoint ep;
+  ep.kind = Endpoint::Kind::kUnix;
+  ep.path = temp_sock_path("writev");
+  std::string err;
+  Socket listener = listen_endpoint(ep, 4, &err);
+  ASSERT_TRUE(listener.valid()) << err;
+
+  std::vector<std::vector<std::byte>> payloads;
+  std::vector<std::byte> expected;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                              std::size_t{5'000}, std::size_t{3} << 20}) {
+    std::vector<std::byte> p(n);
+    for (std::size_t i = 0; i < n; ++i) p[i] = static_cast<std::byte>(i * 7);
+    const auto frame = encode_frame(static_cast<std::uint16_t>(n % 50), p);
+    expected.insert(expected.end(), frame.begin(), frame.end());
+    payloads.push_back(std::move(p));
+  }
+
+  std::vector<std::byte> got;
+  std::thread reader([&] {
+    std::string serr;
+    Socket peer;
+    for (int i = 0; i < 5000 && !peer.valid(); ++i) {
+      peer = accept_conn(listener, &serr);
+      if (!peer.valid()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    ASSERT_TRUE(peer.valid()) << serr;
+    std::vector<std::byte> buf(16 * 1024);
+    for (;;) {
+      const IoResult r = read_some(peer, buf.data(), buf.size());
+      if (!r.ok() || r.eof || r.n == 0) break;
+      got.insert(got.end(), buf.begin(),
+                 buf.begin() + static_cast<std::ptrdiff_t>(r.n));
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  std::atomic<bool> done{false};
+  const pthread_t writer = pthread_self();
+  std::thread pinger([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      pthread_kill(writer, SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+    }
+  });
+  {
+    FrameConn client = FrameConn::connect(
+        ep, std::chrono::milliseconds(5000), &err);
+    ASSERT_TRUE(client.valid()) << err;
+    for (const auto& p : payloads) {
+      ASSERT_TRUE(client.write_frame(static_cast<std::uint16_t>(p.size() % 50),
+                                     p))
+          << client.error();
+    }
+  }  // closing the client ends the reader's stream
+  done.store(true);
+  pinger.join();
+  reader.join();
+  sigaction(SIGUSR1, &old, nullptr);
+  EXPECT_TRUE(got == expected) << got.size() << " bytes read, "
+                               << expected.size() << " expected";
+  ::unlink(ep.path.c_str());
+}
+
 TEST(Socket, TcpPortZeroPicksAndConnects) {
   Endpoint ep;
   ep.kind = Endpoint::Kind::kTcp;
@@ -149,8 +228,6 @@ TEST(Socket, ConnectRetriesUntilListenerAppears) {
 // every blocking syscall eligible to fail with EINTR; the io helpers
 // must retry transparently.
 // ---------------------------------------------------------------------------
-
-void noop_handler(int) {}
 
 TEST(Socket, EintrStormSurvived) {
   struct sigaction sa = {};

@@ -68,9 +68,8 @@ TEST(Wire, HelloAckRoundtrip) {
 TEST(Wire, DataBatchRoundtrip) {
   DataBatchMsg m;
   for (std::uint64_t i = 0; i < 5; ++i) {
-    std::uint8_t flags = kDeliverStore;
-    if (i % 2) flags |= kDeliverProbe | kSuppressEmit;
-    if (i % 3 == 0) flags |= kDedupStore;
+    std::uint8_t flags = i % 3 == 0 ? kDeliverProbe : kDeliverStore;
+    if (i % 2) flags |= kDeliverStore | kDeliverProbe;
     m.entries.push_back(DataEntry{i * 10, flags, sample_record(i)});
   }
   DataBatchMsg d;
@@ -92,6 +91,19 @@ TEST(Wire, DataEntryWithoutDeliverBitsRejected) {
   m.entries.push_back(DataEntry{0, 0, sample_record(1)});
   DataBatchMsg d;
   EXPECT_FALSE(decode(encode(m), d));
+}
+
+TEST(Wire, DataEntryWithOtherFlagBitsRejected) {
+  // Bits 4 and 8 once marked suppressed probes and deduplicated
+  // stores; a peer still sending them must fail loudly, not join.
+  for (const std::uint8_t extra : {4, 8, 128}) {
+    DataBatchMsg m;
+    m.entries.push_back(DataEntry{
+        0, static_cast<std::uint8_t>(kDeliverStore | extra),
+        sample_record(1)});
+    DataBatchMsg d;
+    EXPECT_FALSE(decode(encode(m), d)) << int{extra};
+  }
 }
 
 TEST(Wire, ExtractRoundtrip) {
@@ -190,7 +202,6 @@ TEST(Wire, FinalRoundtrip) {
   m.stores = 1;
   m.probes = 2;
   m.matches = 3;
-  m.suppressed = 4;
   m.dedup_skipped = 5;
   m.absorbed = 6;
   FinalMsg d;

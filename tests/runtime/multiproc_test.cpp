@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <mutex>
 
@@ -183,8 +184,8 @@ TEST(Multiproc, SigkillMidRunReplaysExactly) {
     ASSERT_TRUE(router.start(&err)) << err;
     // The third kill hits the owner of the hottest key late in the run,
     // after letting it catch up: its probes fill several match batches
-    // between two checkpoints, so its emit watermark is past its
-    // checkpoint and the replay must suppress re-delivered probes.
+    // between two flush rounds, so its emit watermark is well into the
+    // log and the restore must skip the probes below it.
     const std::uint32_t hot = router.owner(Side::kR, hottest_key(trace));
     std::size_t i = 0;
     for (const auto& rec : trace) {
@@ -208,14 +209,14 @@ TEST(Multiproc, SigkillMidRunReplaysExactly) {
     EXPECT_EQ(st.matches_total, expected.size());
     if (collect) {
       // The strong claim: despite the SIGKILLs, the emitted pair set is
-      // exactly the ground truth — replay resent what was lost, the
-      // emit watermark suppressed what was already delivered.
+      // exactly the ground truth — the restore re-sent what was lost,
+      // and skipped the probes whose matches were already delivered.
       EXPECT_EQ(canonical(router.take_matches()), expected);
     } else {
-      // Count-only exactness runs through the suppressed-count branch:
-      // replayed probes below the emit watermark add to the worker's
-      // suppressed count, never to the match total.
-      EXPECT_GT(st.suppressed_probes, 0u);
+      // Count-only exactness runs through the skip: the restores left
+      // out probes below the emit watermark, whose matches were already
+      // in the match total.
+      EXPECT_GT(st.skipped_probes, 0u);
     }
   }
 }
@@ -347,6 +348,148 @@ TEST(Multiproc, NoRespawnAccountsDrops) {
   // Honest accounting: without respawn the dead shard's deliveries are
   // gone and must be counted, not hidden.
   EXPECT_GT(st.records_dropped, 0u);
+}
+
+/// One run of the kill sweep: 2 workers, a flush round every 200
+/// records, and `hook(router, i)` after the i-th publish (1-based). The
+/// run must end exact: no delivery half dropped, and the ground-truth
+/// pair set (its size, in count-only mode).
+void run_sweep_case(
+    const std::vector<Record>& trace, const std::vector<PairKey>& expected,
+    bool collect,
+    const std::function<void(MultiprocRouter&, std::size_t)>& hook) {
+  auto cfg = base_config(2);
+  cfg.collect_matches = collect;
+  cfg.checkpoint_every = 200;
+  MultiprocRouter router(std::move(cfg));
+  std::string err;
+  ASSERT_TRUE(router.start(&err)) << err;
+  std::size_t i = 0;
+  for (const auto& rec : trace) {
+    router.publish(rec);
+    hook(router, ++i);
+  }
+  ASSERT_TRUE(router.finish());
+  const auto& st = router.stats();
+  EXPECT_EQ(st.worker_crashes, 1u);
+  EXPECT_EQ(st.respawns, 1u);
+  EXPECT_EQ(st.records_dropped, 0u);
+  EXPECT_EQ(st.matches_total, expected.size());
+  if (collect) {
+    EXPECT_EQ(canonical(router.take_matches()), expected);
+  }
+}
+
+TEST(Multiproc, SigkillSweepPublishPoints) {
+  // Each worker, SIGKILLed at each of 10 evenly spaced publish points,
+  // one kill per run. The worker comes back by one pass over the log.
+  const auto trace = make_trace(43, 2'000, 60, 1.2);
+  const auto expected = expected_pair_set(trace);
+  int staged_kills = 0;
+  for (const bool collect : {true, false}) {
+    for (std::uint32_t victim = 0; victim < 2; ++victim) {
+      for (std::size_t j = 1; j <= 10; ++j) {
+        const std::size_t at = j * trace.size() / 11;
+        SCOPED_TRACE(std::string(collect ? "collect_matches" : "count-only") +
+                     ", worker " + std::to_string(victim) + " killed at " +
+                     std::to_string(at));
+        run_sweep_case(trace, expected, collect,
+                       [&](MultiprocRouter& r, std::size_t i) {
+                         if (i != at) return;
+                         if (staged(r) > 0) ++staged_kills;
+                         ASSERT_TRUE(r.kill_worker(victim));
+                       });
+      }
+    }
+  }
+  // Most points fall between two log appends: records are staged when
+  // the worker dies.
+  EXPECT_GT(staged_kills, 20);
+}
+
+TEST(Multiproc, SigkillSweepMigrationPhases) {
+  // The hottest key's R side moves between the two workers mid-feed;
+  // the source, then the target, is SIGKILLed once in each phase: right
+  // after request_migration (extract in flight), once the extracted
+  // tuples reached the router (absorb in flight), and once the move
+  // completed (route flipped).
+  const auto trace = make_trace(47, 2'000, 60, 1.2);
+  const auto expected = expected_pair_set(trace);
+  const KeyId hot = hottest_key(trace);
+  enum class Phase { kRequested, kTuplesMigrated, kCompleted };
+  for (const bool collect : {true, false}) {
+    for (const bool kill_source : {true, false}) {
+      for (const Phase phase :
+           {Phase::kRequested, Phase::kTuplesMigrated, Phase::kCompleted}) {
+        SCOPED_TRACE(std::string(collect ? "collect_matches" : "count-only") +
+                     (kill_source ? ", source" : ", target") +
+                     " killed in phase " +
+                     std::to_string(static_cast<int>(phase)));
+        run_sweep_case(
+            trace, expected, collect, [&](MultiprocRouter& r, std::size_t i) {
+              if (i != trace.size() / 2) return;
+              const std::uint32_t from = r.owner(Side::kR, hot);
+              const std::uint32_t to = 1 - from;
+              ASSERT_TRUE(r.request_migration(Side::kR, from, to, {hot}));
+              const auto& st = r.stats();
+              const auto deadline =
+                  std::chrono::steady_clock::now() + std::chrono::seconds(5);
+              auto reached = [&] {
+                return phase == Phase::kRequested ||
+                       (phase == Phase::kTuplesMigrated
+                            ? st.tuples_migrated > 0
+                            : st.migrations_completed > 0);
+              };
+              while (!reached() &&
+                     std::chrono::steady_clock::now() < deadline) {
+                r.pump(std::chrono::milliseconds(1));
+              }
+              ASSERT_TRUE(reached());
+              ASSERT_TRUE(r.kill_worker(kill_source ? from : to));
+            });
+      }
+    }
+  }
+}
+
+TEST(Multiproc, FlushRoundsPastTheFrameCeilingStayExact) {
+  // One worker stores all 1.9M records. A whole-store snapshot at the
+  // second flush round would be ~70 MB, past the 64 MiB frame ceiling;
+  // a flush round ships no store, so no round is mistaken for a crash.
+  constexpr std::uint64_t kRecords = 1'900'000;
+  constexpr std::uint64_t kKeys = 20'000;
+  auto cfg = base_config(1);
+  cfg.collect_matches = false;
+  cfg.checkpoint_every = 950'000;
+  MultiprocRouter router(std::move(cfg));
+  std::string err;
+  ASSERT_TRUE(router.start(&err)) << err;
+  std::vector<std::uint64_t> per_key[2] = {std::vector<std::uint64_t>(kKeys),
+                                           std::vector<std::uint64_t>(kKeys)};
+  std::uint64_t seq[2] = {0, 0};
+  Xoshiro256 rng(41);
+  for (std::uint64_t i = 0; i < kRecords; ++i) {
+    Record rec;
+    rec.side = rng.next_below(2) ? Side::kS : Side::kR;
+    rec.key = rng.next_below(kKeys);
+    rec.seq = seq[static_cast<int>(rec.side)]++;
+    rec.ts = static_cast<SimTime>(i);
+    rec.payload = i;
+    ++per_key[static_cast<int>(rec.side)][rec.key];
+    router.publish(rec);
+  }
+  ASSERT_TRUE(router.finish(std::chrono::milliseconds(120'000)));
+  // Full history, strictly increasing ts: every (r, s) pair of a key
+  // matches once.
+  std::uint64_t expected = 0;
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    expected += per_key[0][k] * per_key[1][k];
+  }
+  const auto& st = router.stats();
+  EXPECT_EQ(st.worker_crashes, 0u);
+  EXPECT_EQ(st.checkpoints_completed, 2u);
+  EXPECT_EQ(st.records_dropped, 0u);
+  EXPECT_EQ(st.matches_total, expected);
 }
 
 TEST(Multiproc, FileBackedLogSurvives) {

@@ -75,7 +75,7 @@ struct DoorHarness {
           out->r_tuples = 3;
           out->s_tuples = 4;
           out->owner_r = 1;
-          out->as_of_ckpt = 7;
+          out->as_of = 7;
           out->matches_total = 12;
           out->recent.resize(std::min<std::uint32_t>(q.max_recent, 2));
         },
@@ -194,7 +194,7 @@ TEST(FrontDoor, HelloAppendQueryByeHappyPath) {
                  "query result missing");
       log.expect(res.req_id == 9 && res.key == 3, "query echo broken");
       log.expect(res.r_tuples == 3 && res.s_tuples == 4 &&
-                     res.matches_total == 12 && res.as_of_ckpt == 7,
+                     res.matches_total == 12 && res.as_of == 7,
                  "query state wrong");
     }
     if (log.ok()) {

@@ -161,7 +161,7 @@ TEST(ClientProtocol, QueryResultRoundtrip) {
   m.s_tuples = 20;
   m.owner_r = 1;
   m.owner_s = 2;
-  m.as_of_ckpt = 5;
+  m.as_of = 5;
   m.matches_total = 200;
   m.recent = {MatchPair{1, 2, 3}, MatchPair{4, 5, 6}};
   QueryResultMsg d;

@@ -13,6 +13,7 @@
 #include "runtime/multiproc.hpp"
 
 #include <gtest/gtest.h>
+#include <signal.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -49,8 +50,7 @@ MultiprocConfig serve_config(std::uint32_t workers, const char* tag) {
   cfg.workers = workers;
   cfg.worker_command = {"/proc/self/exe"};
   cfg.collect_matches = true;  // the router-side half of the comparison
-  cfg.truncate_log = false;    // dump_log() must hold the full history
-  cfg.checkpoint_every = 512;  // keep query snapshots fresh
+  cfg.checkpoint_every = 512;  // flush rounds run during the sessions
   cfg.serve = true;
   cfg.serve_cfg.endpoint.kind = net::Endpoint::Kind::kUnix;
   cfg.serve_cfg.endpoint.path = temp_sock_path(tag);
@@ -86,10 +86,11 @@ std::vector<PairKey> replay_log(const std::vector<LogRecord>& log,
   return canonical(std::move(pairs));
 }
 
-/// An acked append: the log offset its ack named, and the record the
-/// client sent first in it.
+/// An acked append: the log offset its ack named, how many records it
+/// logged, and the record the client sent first in it.
 struct AckedAppend {
   std::uint64_t first_offset = 0;
+  std::uint64_t appended = 0;
   server::ClientRecord first;
 };
 
@@ -101,9 +102,24 @@ struct ClientOutcome {
   std::uint64_t admitted_records = 0;
   std::uint64_t queries_answered = 0;
   std::vector<AckedAppend> acked;
+  std::vector<server::QueryResultMsg> answers;
   std::string fail;  ///< first client-side failure, empty if none
   bool ok() const { return fail.empty(); }
 };
+
+/// One kQuery round trip; false on any transport or protocol failure.
+bool query_key(net::FrameConn& fc, std::uint64_t req_id, KeyId key,
+               server::QueryResultMsg* res) {
+  server::QueryMsg qm;
+  qm.req_id = req_id;
+  qm.key = key;
+  qm.max_recent = 8;
+  net::Frame f;
+  return fc.write_frame(wire(server::ClientMsgType::kQuery), encode(qm)) &&
+         fc.read_frame(f) &&
+         f.type == wire(server::ClientMsgType::kQueryResult) &&
+         decode(f.payload, *res) && res->req_id == req_id && res->key == key;
+}
 
 bool client_hello(net::FrameConn& fc, const std::string& tenant) {
   server::ClientHelloMsg h;
@@ -169,7 +185,8 @@ ClientOutcome run_client(const net::Endpoint& ep, const std::string& tenant,
         ++out.admitted;
         out.admitted_records += ack.appended + ack.parked;
         if (ack.appended > 0) {
-          out.acked.push_back(AckedAppend{ack.first_offset, m.records[0]});
+          out.acked.push_back(
+              AckedAppend{ack.first_offset, ack.appended, m.records[0]});
         }
         break;
       }
@@ -189,24 +206,14 @@ ClientOutcome run_client(const net::Endpoint& ep, const std::string& tenant,
     }
   }
   for (int q = 0; q < queries && out.ok(); ++q) {
-    server::QueryMsg qm;
-    qm.req_id = 1'000'000 + static_cast<std::uint64_t>(q);
-    qm.key = static_cast<KeyId>(q % num_keys);
-    qm.max_recent = 8;
-    if (!fc.write_frame(wire(server::ClientMsgType::kQuery), encode(qm))) {
-      out.fail = "query write failed";
-      break;
-    }
-    net::Frame f;
     server::QueryResultMsg res;
-    if (!fc.read_frame(f) ||
-        f.type != wire(server::ClientMsgType::kQueryResult) ||
-        !decode(f.payload, res) || res.req_id != qm.req_id ||
-        res.key != qm.key) {
+    if (!query_key(fc, 1'000'000 + static_cast<std::uint64_t>(q),
+                   static_cast<KeyId>(q % num_keys), &res)) {
       out.fail = "query result broken";
       break;
     }
     ++out.queries_answered;
+    out.answers.push_back(std::move(res));
   }
   fc.write_frame(wire(server::ClientMsgType::kClientBye), {});
   return out;
@@ -215,7 +222,7 @@ ClientOutcome run_client(const net::Endpoint& ep, const std::string& tenant,
 /// Each ack's first_offset is the log offset of its append's first
 /// record. No migration runs in these tests, so nothing is parked and
 /// the first record sent is the first one appended. `log` is the whole
-/// history (truncate_log = false), so entry i has offset i.
+/// history, so entry i has offset i.
 void expect_first_offsets(const std::vector<LogRecord>& log,
                           const ClientOutcome& c) {
   EXPECT_EQ(c.acked.size(), c.admitted);
@@ -226,6 +233,35 @@ void expect_first_offsets(const std::vector<LogRecord>& log,
     EXPECT_EQ(lr.rec.key, a.first.key) << "offset " << a.first_offset;
     EXPECT_EQ(lr.rec.payload, a.first.payload) << "offset " << a.first_offset;
     EXPECT_EQ(lr.rec.side, a.first.side) << "offset " << a.first_offset;
+  }
+}
+
+/// Logged records of `key` per side (R, S) among the first `end`
+/// entries of the log.
+std::pair<std::uint64_t, std::uint64_t> logged_counts(
+    const std::vector<LogRecord>& log, KeyId key, std::uint64_t end) {
+  std::pair<std::uint64_t, std::uint64_t> n{0, 0};
+  for (std::uint64_t i = 0; i < end && i < log.size(); ++i) {
+    if (log[i].rec.key != key) continue;
+    ++(log[i].rec.side == Side::kR ? n.first : n.second);
+  }
+  return n;
+}
+
+/// Each answer counts exactly the key's logged records below its as_of,
+/// per side, and as_of covers the client's own last acked append (its
+/// queries follow its appends).
+void expect_exact_answers(const std::vector<LogRecord>& log,
+                          const ClientOutcome& c) {
+  ASSERT_FALSE(c.acked.empty());
+  const AckedAppend& last = c.acked.back();
+  for (const server::QueryResultMsg& res : c.answers) {
+    EXPECT_LE(res.as_of, log.size()) << "key " << res.key;
+    EXPECT_GE(res.as_of, last.first_offset + last.appended)
+        << "key " << res.key;
+    const auto [r, s] = logged_counts(log, res.key, res.as_of);
+    EXPECT_EQ(res.r_tuples, r) << "key " << res.key;
+    EXPECT_EQ(res.s_tuples, s) << "key " << res.key;
   }
 }
 
@@ -278,6 +314,7 @@ TEST(ServingE2E, ByteIdenticalThroughFrontDoor) {
   EXPECT_EQ(alice.queries_answered, 5u);
   expect_first_offsets(log, alice);
   expect_first_offsets(log, bob);
+  expect_exact_answers(log, alice);
 }
 
 TEST(ServingE2E, AbusiveTenantShedOthersUnharmed) {
@@ -339,6 +376,114 @@ TEST(ServingE2E, AbusiveTenantShedOthersUnharmed) {
             static_cast<std::uint64_t>(log.size()));
   expect_first_offsets(log, polite);
   expect_first_offsets(log, abusive);
+}
+
+TEST(ServingE2E, QueryCountsAParkedKeyOnceItIsLogged) {
+  MultiprocRouter router(serve_config(2, "park"));
+  std::string err;
+  ASSERT_TRUE(router.start(&err)) << err;
+  const net::Endpoint ep = router.frontdoor()->endpoint();
+  constexpr KeyId kKey = 5;
+  const std::uint32_t from = router.owner(Side::kR, kKey);
+  const pid_t from_pid = router.worker_pid(from);
+  // The migration's source is stopped while the key moves, so the move
+  // waits on its kExtract reply and the key stays parked meanwhile.
+  struct Resume {
+    pid_t pid;
+    ~Resume() { ::kill(pid, SIGCONT); }
+  } resume{from_pid};
+
+  // Client script, one step at a time; the test thread drives the
+  // router between steps.
+  std::atomic<int> step{0};
+  std::string fail;
+  server::AppendAckMsg ack1, ack2;
+  server::QueryResultMsg before, parked, after;
+  auto wait_step = [&step](int want) {
+    for (int i = 0; i < 10'000 && step.load() != want; ++i) {
+      std::this_thread::sleep_for(1ms);
+    }
+    return step.load() == want;
+  };
+  auto batch = [](std::uint64_t req_id, std::uint64_t salt) {
+    server::AppendMsg m;
+    m.req_id = req_id;
+    for (std::uint64_t i = 0; i < 16; ++i) {
+      m.records.push_back(server::ClientRecord{
+          i % 3 == 0 ? Side::kS : Side::kR, kKey, salt + i});
+    }
+    return m;
+  };
+  auto append = [](net::FrameConn& fc, const server::AppendMsg& m,
+                   server::AppendAckMsg* ack) {
+    net::Frame f;
+    return fc.write_frame(wire(server::ClientMsgType::kAppend), encode(m)) &&
+           fc.read_frame(f) &&
+           f.type == wire(server::ClientMsgType::kAppendAck) &&
+           decode(f.payload, *ack) && ack->req_id == m.req_id;
+  };
+  std::thread client([&] {
+    std::string cerr;
+    net::FrameConn fc = net::FrameConn::connect(ep, 10'000ms, &cerr);
+    if (!fc.valid() || !client_hello(fc, "parker")) {
+      fail = "connect/hello: " + cerr;
+    } else if (!append(fc, batch(1, 100), &ack1) ||
+               !query_key(fc, 2, kKey, &before)) {
+      fail = "first append/query";
+    } else if (step = 1; !wait_step(2)) {
+      fail = "migration never started";
+    } else if (!append(fc, batch(3, 200), &ack2) ||
+               !query_key(fc, 4, kKey, &parked)) {
+      fail = "parked append/query";
+    } else if (step = 3; !wait_step(4)) {
+      fail = "migration never finished";
+    } else if (!query_key(fc, 5, kKey, &after)) {
+      fail = "last query";
+    }
+    if (fc.valid()) fc.write_frame(wire(server::ClientMsgType::kClientBye), {});
+    step = 5;
+  });
+  while (step.load() != 5) {
+    router.pump(2ms);
+    if (step.load() == 1) {
+      ASSERT_EQ(::kill(from_pid, SIGSTOP), 0);
+      ASSERT_TRUE(
+          router.request_migration(Side::kR, from, 1 - from, {kKey}));
+      step = 2;
+    } else if (step.load() == 3) {
+      ::kill(from_pid, SIGCONT);
+      for (int i = 0; i < 5'000 && !router.migration_idle(); ++i) {
+        router.pump(1ms);
+      }
+      step = 4;
+    }
+  }
+  client.join();
+  ASSERT_TRUE(fail.empty()) << fail;
+  const auto log = router.dump_log();
+  ASSERT_TRUE(router.finish());
+
+  // batch() puts 10 R-side and 6 S-side records in each append.
+  EXPECT_EQ(ack1.appended, 16u);
+  EXPECT_EQ(before.as_of, 16u);
+  EXPECT_EQ(before.r_tuples, 10u);
+  EXPECT_EQ(before.s_tuples, 6u);
+  // Parked records are acked but not logged, so they do not count yet.
+  EXPECT_EQ(ack2.parked, 16u);
+  EXPECT_EQ(ack2.appended, 0u);
+  EXPECT_EQ(parked.as_of, before.as_of);
+  EXPECT_EQ(parked.r_tuples, before.r_tuples);
+  EXPECT_EQ(parked.s_tuples, before.s_tuples);
+  // Once the move completes they are logged behind the flip, and count.
+  EXPECT_EQ(router.stats().migrations_completed, 1u);
+  EXPECT_EQ(after.as_of, log.size());
+  EXPECT_EQ(after.owner_r, 1 - from);
+  const auto [r, s] = logged_counts(log, kKey, log.size());
+  EXPECT_EQ(after.r_tuples, r);
+  EXPECT_EQ(after.s_tuples, s);
+  EXPECT_EQ(r + s, 32u);
+  EXPECT_EQ(router.stats().records_dropped, 0u);
+  EXPECT_EQ(canonical(router.take_matches()), replay_log(log, 2));
 }
 
 }  // namespace

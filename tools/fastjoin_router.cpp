@@ -74,7 +74,7 @@ struct Options {
   std::uint64_t serve_budget = 16 << 20;
   std::uint32_t serve_max_batch = 8192;
   /// Replay the StreamLog through the in-process engine afterwards and
-  /// require byte-identical match sets (forces truncate_log=false).
+  /// require byte-identical match sets.
   bool verify_inproc = false;
 };
 
@@ -203,9 +203,8 @@ int main(int argc, char** argv) {
     cfg.serve_cfg.admission.max_batch_records = o.serve_max_batch;
     if (o.verify_inproc) {
       // Byte-identical verification needs the workers' match pairs and
-      // the complete log (front-door seq/ts stamps live only there).
+      // the log (front-door seq/ts stamps live only there).
       cfg.collect_matches = true;
-      cfg.truncate_log = false;
     }
   }
 
@@ -350,7 +349,7 @@ int main(int argc, char** argv) {
       "  \"worker_crashes\": %llu,\n"
       "  \"respawns\": %llu,\n"
       "  \"replayed_entries\": %llu,\n"
-      "  \"suppressed_probes\": %llu,\n"
+      "  \"skipped_probes\": %llu,\n"
       "  \"migrations_completed\": %llu,\n"
       "  \"tuples_migrated\": %llu,\n"
       "  \"checkpoints_completed\": %llu,\n",
@@ -363,7 +362,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(st.worker_crashes),
       static_cast<unsigned long long>(st.respawns),
       static_cast<unsigned long long>(st.replayed_entries),
-      static_cast<unsigned long long>(st.suppressed_probes),
+      static_cast<unsigned long long>(st.skipped_probes),
       static_cast<unsigned long long>(st.migrations_completed),
       static_cast<unsigned long long>(st.tuples_migrated),
       static_cast<unsigned long long>(st.checkpoints_completed));
