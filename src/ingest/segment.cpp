@@ -17,16 +17,21 @@ const char* segment_backend_name(SegmentBackend b) {
 SegmentFile::SegmentFile(SegmentBackend backend, std::string path,
                          std::size_t capacity_bytes)
     : backend_(backend), path_(std::move(path)), capacity_(capacity_bytes) {
-  if (backend_ == SegmentBackend::kFile) {
-    file_ = std::fopen(path_.c_str(), "wb+");
-    if (file_ != nullptr) return;
+  if (backend_ == SegmentBackend::kMemory) {
+    mem_.reserve(capacity_);
+    return;
+  }
+  file_ = std::fopen(path_.c_str(), "wb+");
+  if (file_ == nullptr) {
     FJ_ERROR("ingest") << "cannot create segment file " << path_
                        << "; falling back to the memory backend";
     backend_ = SegmentBackend::kMemory;
+    mem_.reserve(capacity_);
   }
-  // Touch the whole buffer now: the page faults of a fresh segment are
-  // paid once, at the roll, instead of by the appends that fill it (a
-  // log that is never truncated never reuses freed pages).
+}
+
+void SegmentFile::prefault() {
+  if (backend_ != SegmentBackend::kMemory || size_ > 0) return;
   mem_.resize(capacity_);
   mem_.clear();
 }

@@ -58,6 +58,10 @@ class SegmentFile {
   std::size_t capacity() const { return capacity_; }
   bool has_room(std::size_t n) const { return size_ + n <= capacity_; }
 
+  /// kMemory, while empty: touch the whole buffer now, so the appends
+  /// that fill the segment take no page faults. No-op otherwise.
+  void prefault();
+
   /// Bytes appended since the last flush() — the backpressure input.
   std::size_t unflushed_bytes() const { return size_ - flushed_; }
   /// Make appended bytes durable (fflush for kFile; bookkeeping only

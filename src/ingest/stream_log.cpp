@@ -136,6 +136,10 @@ SegmentFile& StreamLog::writable_segment(std::uint32_t idx, Partition& p) {
     seg.base = p.next_offset;
     seg.file = std::make_unique<SegmentFile>(
         cfg_.backend, segment_path(idx, seg.base), seg_capacity_);
+    // An untruncated partition only ever gets fresh pages: fault them
+    // in once, at the roll, instead of in the appends that fill the
+    // segment. A truncated one can reuse the pages it freed.
+    if (!p.truncated) seg.file->prefault();
     ++p.seg_seq;
     p.segments.push_back(std::move(seg));
   }
@@ -310,6 +314,7 @@ std::uint64_t StreamLog::truncate_before(std::uint32_t partition,
       std::filesystem::remove(front.file->path(), ec);
     }
     p.segments.pop_front();
+    p.truncated = true;
     segments_truncated_.fetch_add(1, std::memory_order_relaxed);
   }
   if (removed > 0) {

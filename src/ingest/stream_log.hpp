@@ -145,6 +145,8 @@ class StreamLog {
     std::uint64_t next_offset GUARDED_BY(mu) = 0;
     /// Distinct file names across rolls.
     std::uint64_t seg_seq GUARDED_BY(mu) = 0;
+    /// truncate_before() has dropped a segment here.
+    bool truncated GUARDED_BY(mu) = false;
   };
 
   std::string segment_path(std::uint32_t partition,

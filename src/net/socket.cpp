@@ -115,17 +115,7 @@ IoResult write_some(Socket& s, const void* buf, std::size_t len) {
 }
 
 bool send_all(Socket& s, const void* buf, std::size_t len) {
-  const auto* p = static_cast<const std::byte*>(buf);
-  while (len > 0) {
-    const IoResult r = write_some(s, p, len);
-    if (!r.ok() || r.would_block || r.n == 0) {
-      // would_block on a blocking socket means misuse; treat as error.
-      return false;
-    }
-    p += r.n;
-    len -= r.n;
-  }
-  return true;
+  return send_all(s, buf, len, nullptr, 0);
 }
 
 bool send_all(Socket& s, const void* head, std::size_t head_len,

@@ -7,7 +7,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 
 #include "common/hash.hpp"
 #include "common/logging.hpp"
@@ -401,29 +400,26 @@ void MultiprocRouter::serve_query(const server::QueryMsg& q,
   }
 }
 
-void MultiprocRouter::KeyCounts::resize(unsigned bits) {
-  const auto old = std::move(slots_);
-  const std::size_t old_size = old ? mask_ + 1 : 0;
-  slots_.reset(static_cast<Slot*>(std::calloc(std::size_t{1} << bits,
-                                              sizeof(Slot))));
-  if (!slots_) throw std::bad_alloc();
-  mask_ = (std::size_t{1} << bits) - 1;
-  shift_ = 64 - bits;
+void MultiprocRouter::KeyCounts::grow(Shard& sh) {
+  const Shard old = std::move(sh);
+  sh.bits = old.slots ? old.bits + 1 : 6;
+  sh.slots = std::make_unique<Slot[]>(std::size_t{1} << sh.bits);
+  sh.used = old.used;
+  const std::size_t old_size = old.slots ? std::size_t{1} << old.bits : 0;
   for (std::size_t i = 0; i < old_size; ++i) {
-    const Slot& s = old[i];
-    if (is_free(s)) continue;
-    std::size_t j = home(s.key);
-    while (!is_free(slots_[j])) j = (j + 1) & mask_;
-    slots_[j] = s;
+    const Slot& s = old.slots[i];
+    if (!is_free(s)) sh.slots[probe(sh, s.key)] = s;
   }
 }
 
-std::size_t MultiprocRouter::KeyCounts::probe(KeyId key) const {
+std::size_t MultiprocRouter::KeyCounts::probe(const Shard& sh, KeyId key) {
   // No slot is ever freed, so linear probing from the key's home meets
-  // its slot before any free one.
-  std::size_t i = home(key);
-  while (slots_[i].key != key && !is_free(slots_[i])) {
-    i = (i + 1) & mask_;
+  // its slot before any free one. The home takes the hash bits below
+  // the ones that chose the shard.
+  const std::size_t mask = (std::size_t{1} << sh.bits) - 1;
+  std::size_t i = (hash(key) << kShardBits) >> (64 - sh.bits);
+  while (sh.slots[i].key != key && !is_free(sh.slots[i])) {
+    i = (i + 1) & mask;
   }
   return i;
 }
@@ -437,21 +433,14 @@ void MultiprocRouter::KeyCounts::add(const std::vector<LogRecord>& batch) {
 }
 
 void MultiprocRouter::KeyCounts::settle() {
-  if (unsettled_.empty()) return;
-  // 2^18 slots hold 196k keys at 3/4 load before the first doubling.
-  if (!slots_) resize(18);
-  while (4 * (used_ + unsettled_.size()) > 3 * (mask_ + 1)) {
-    resize(64 - shift_ + 1);
-  }
-  // Fetch every slot first, so the misses overlap.
   for (const auto& [key, side] : unsettled_) {
-    __builtin_prefetch(&slots_[home(key)]);
-  }
-  for (const auto& [key, side] : unsettled_) {
-    Slot& s = slots_[probe(key)];
+    Shard& sh = shards_[shard_of(key)];
+    const std::size_t size = sh.slots ? std::size_t{1} << sh.bits : 0;
+    if (4 * (sh.used + 1) > 3 * size) grow(sh);
+    Slot& s = sh.slots[probe(sh, key)];
     if (is_free(s)) {
       s.key = key;
-      ++used_;
+      ++sh.used;
     }
     std::uint32_t& n = s.n[static_cast<int>(side)];
     if (n != UINT32_MAX) ++n;
@@ -462,8 +451,9 @@ void MultiprocRouter::KeyCounts::settle() {
 std::array<std::uint64_t, 2> MultiprocRouter::KeyCounts::get(
     KeyId key) const {
   std::array<std::uint64_t, 2> n{};
-  if (slots_) {
-    const Slot& s = slots_[probe(key)];  // a free slot's counts are zero
+  const Shard& sh = shards_[shard_of(key)];
+  if (sh.slots) {
+    const Slot& s = sh.slots[probe(sh, key)];  // a free slot's counts are zero
     n = {s.n[0], s.n[1]};
   }
   for (const auto& [k, side] : unsettled_) {

@@ -64,7 +64,6 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -365,10 +364,12 @@ class MultiprocRouter {
   /// committed record counts at once, but the table update that costs
   /// a cache miss per record waits for settle(), which pump() runs after
   /// the dispatch pass that acked the append; until then get() finds
-  /// the record in a short unsettled list. The table is open addressing
-  /// over 16-byte slots, starting at 4 MiB, calloc'd, so only pages keys
-  /// hash to become resident. A count saturates at 2^32 - 1 (200 GB of
-  /// one key's side at 48 B a log record).
+  /// the record in a short unsettled list. The table is 4096
+  /// open-addressing shards of 16-byte slots, 64 slots each to start; a
+  /// shard that fills rehashes alone, so growing moves 1/4096 of the
+  /// keys and never stalls the loop for the whole table. A count
+  /// saturates at 2^32 - 1 (200 GB of one key's side at 48 B a log
+  /// record).
   class KeyCounts {
    public:
     void add(const std::vector<LogRecord>& batch);
@@ -380,19 +381,24 @@ class MultiprocRouter {
       KeyId key;
       std::array<std::uint32_t, 2> n;  ///< both zero: the slot is free
     };
+    struct Shard {
+      std::unique_ptr<Slot[]> slots;
+      unsigned bits = 0;  ///< 2^bits slots once allocated
+      std::size_t used = 0;
+    };
+    static constexpr unsigned kShardBits = 12;
     static bool is_free(const Slot& s) { return (s.n[0] | s.n[1]) == 0; }
-    std::size_t home(KeyId key) const {
-      return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >>
-                                      shift_);
+    static std::uint64_t hash(KeyId key) {
+      return key * 0x9E3779B97F4A7C15ull;
     }
-    /// The key's slot, or the free slot where it would go.
-    std::size_t probe(KeyId key) const;
-    void resize(unsigned bits);
+    static std::size_t shard_of(KeyId key) {
+      return hash(key) >> (64 - kShardBits);
+    }
+    /// The key's slot in `sh`, or the free slot where it would go.
+    static std::size_t probe(const Shard& sh, KeyId key);
+    static void grow(Shard& sh);
 
-    std::unique_ptr<Slot[], decltype(&std::free)> slots_{nullptr, &std::free};
-    std::size_t mask_ = 0;
-    unsigned shift_ = 64;
-    std::size_t used_ = 0;
+    std::array<Shard, std::size_t{1} << kShardBits> shards_;
     std::vector<std::pair<KeyId, Side>> unsettled_;
   };
   KeyCounts serve_counts_;

@@ -317,6 +317,35 @@ TEST(ServingE2E, ByteIdenticalThroughFrontDoor) {
   expect_exact_answers(log, alice);
 }
 
+TEST(ServingE2E, QueryCountsStayExactAcrossCountTableGrowth) {
+  // ~260k distinct keys, ~63 per shard of the router's count table:
+  // nearly every shard outgrows its first 64 slots while appends run.
+  auto cfg = serve_config(2, "wide");
+  cfg.collect_matches = false;
+  cfg.serve_cfg.admission.tenant_rate_bytes_per_sec = 64 << 20;
+  MultiprocRouter router(std::move(cfg));
+  std::string err;
+  ASSERT_TRUE(router.start(&err)) << err;
+  const net::Endpoint ep = router.frontdoor()->endpoint();
+
+  ClientOutcome carol;
+  std::atomic<bool> done{false};
+  std::thread tc([&] {
+    carol = run_client(ep, "carol", 0xCA201, 1400, 256, 1 << 19, true, 256);
+    done = true;
+  });
+  while (!done.load()) router.pump(5ms);
+  tc.join();
+  ASSERT_TRUE(carol.ok()) << carol.fail;
+
+  const auto log = router.dump_log();
+  ASSERT_TRUE(router.finish());
+  EXPECT_EQ(router.stats().records_dropped, 0u);
+  EXPECT_EQ(carol.admitted_records, 1400u * 256u);
+  EXPECT_EQ(carol.queries_answered, 256u);
+  expect_exact_answers(log, carol);
+}
+
 TEST(ServingE2E, AbusiveTenantShedOthersUnharmed) {
   auto cfg = serve_config(2, "abuse");
   // Tight per-tenant budget: one 32-record batch per burst, ~30 batches
