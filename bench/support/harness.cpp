@@ -15,6 +15,9 @@
 #ifndef FASTJOIN_BUILD_TYPE
 #define FASTJOIN_BUILD_TYPE "unspecified"
 #endif
+#ifndef FASTJOIN_SOURCE_DIR
+#define FASTJOIN_SOURCE_DIR "."
+#endif
 
 namespace fastjoin::bench {
 
@@ -95,12 +98,20 @@ std::string capture(const char* cmd) {
 #endif
 }
 
+/// `git -C <source dir> <args>`: the provenance checks judge the tree
+/// the binary was built from, wherever the bench runs.
+std::string git(const std::string& args) {
+  const std::string cmd =
+      "git -C '" FASTJOIN_SOURCE_DIR "' " + args + " 2>/dev/null";
+  return capture(cmd.c_str());
+}
+
 /// `git status --porcelain` paths that are NOT bench result files.
 /// BENCH_*.json are exempt because regenerating them is exactly what a
 /// bench run does — a tree that is dirty only with fresh results is
 /// still attributable to HEAD.
 std::vector<std::string> dirty_paths() {
-  const std::string status = capture("git status --porcelain 2>/dev/null");
+  const std::string status = git("status --porcelain");
   std::vector<std::string> out;
   std::istringstream lines(status);
   std::string line;
@@ -125,7 +136,7 @@ std::vector<std::string> dirty_paths() {
 std::string json_meta(const std::string& workload) {
   std::string sha = FASTJOIN_GIT_SHA;
   const bool allow_dirty = std::getenv("FASTJOIN_ALLOW_DIRTY") != nullptr;
-  const std::string head = capture("git rev-parse --short HEAD 2>/dev/null");
+  const std::string head = git("rev-parse --short HEAD");
   if (!head.empty()) {
     const auto dirty = dirty_paths();
     if (!dirty.empty() || head != sha) {

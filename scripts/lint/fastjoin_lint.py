@@ -17,9 +17,6 @@ lines (stdlib only, no libclang). Rules:
                      `// FASTJOIN_HOT_PATH_END` must not use mutexes,
                      condition variables, sleeps, or allocate inside a
                      loop.
-  stub-parity        headers that carry both a real and a
-                     FASTJOIN_NO_TELEMETRY stub branch must declare the
-                     same classes with the same method names in both.
   banned-api         no C PRNG (rand/srand/random_shuffle), no gets, no
                      volatile-as-synchronization, no wall-clock/date
                      includes (<ctime>, <sys/time.h>) in src/ — steady
@@ -71,6 +68,15 @@ lines (stdlib only, no libclang). Rules:
                      over. Without any of those siblings the rule does
                      not run. Its allow() goes on the header's first
                      line.
+  metric-catalog     when a scanned directory is a `src/` with a sibling
+                     docs/observability.md, every metric registered
+                     under src/ (`.counter(` / `.gauge(` / `.histogram(`
+                     with a string-literal name) must have a row in that
+                     doc's "Metric catalog" section, and every row must
+                     name a registered metric. A name built at run time
+                     as `<expr> + ".suffix"` matches a placeholder row
+                     such as `server.tenant.<t>.suffix` by its suffix; a
+                     name in any other form is a finding.
 
 Escape hatch: `// fastjoin-lint: allow(<rule>)` on the offending line or
 the line directly above suppresses that rule there (add a one-line
@@ -540,145 +546,6 @@ def check_hot_path(sf: SourceFile, findings: list[Finding]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Rule: stub-parity
-# ---------------------------------------------------------------------------
-
-CLASS_DECL_RE = re.compile(r"^(class|struct)\s+([A-Za-z_]\w*)")
-METHOD_NAME_RE = re.compile(r"(?<![\w.:>])([A-Za-z_]\w*)\s*\(")
-MACROISH_RE = re.compile(r"^[A-Z][A-Z0-9_]*$")
-
-
-def split_telemetry_branches(sf: SourceFile) -> tuple[list[str], list[str]] | None:
-    """(real_lines, stub_lines) for a header with an
-    #ifndef FASTJOIN_NO_TELEMETRY / #else / #endif split, else None."""
-    real: list[str] = []
-    stub: list[str] = []
-    stack: list[str] = []  # 'real' / 'stub' / 'other'
-    has_split = False
-    for raw, code in zip(sf.raw_lines, sf.code_lines):
-        s = raw.strip()
-        if s.startswith("#ifndef") and "FASTJOIN_NO_TELEMETRY" in s:
-            stack.append("real")
-            continue
-        if s.startswith("#ifdef") and "FASTJOIN_NO_TELEMETRY" in s:
-            stack.append("stub")
-            continue
-        if s.startswith("#if"):
-            stack.append("other")
-            continue
-        if s.startswith("#else"):
-            if stack and stack[-1] == "real":
-                stack[-1] = "stub"
-                has_split = True
-            elif stack and stack[-1] == "stub":
-                stack[-1] = "real"
-                has_split = True
-            continue
-        if s.startswith("#endif"):
-            if stack:
-                stack.pop()
-            continue
-        branch = next((b for b in reversed(stack) if b != "other"), None)
-        if branch == "real":
-            real.append(code)
-        elif branch == "stub":
-            stub.append(code)
-    if not has_split or not stub:
-        return None
-    return real, stub
-
-
-def extract_api(lines: list[str]) -> dict[str, set[str]]:
-    """{class_name: {method names}} plus {'<free>': {...}} for functions
-    at namespace scope. Only declarations at the class-body / namespace
-    brace depth count, so calls inside inline bodies are ignored."""
-    api: dict[str, set[str]] = {}
-    depth = 0
-    # (name or None-for-non-class scope, body_depth, access_public)
-    class_stack: list[tuple[str | None, int, bool]] = []
-    pending: tuple[str, str] | None = None  # (kind, name) awaiting '{'
-    for line in lines:
-        stripped = line.strip()
-        m = CLASS_DECL_RE.match(stripped)
-        if m and not stripped.rstrip().endswith(";"):
-            pending = (m.group(1), m.group(2))
-        if class_stack and stripped.startswith(("public:", "private:",
-                                                "protected:")):
-            name, bdepth, _ = class_stack[-1]
-            class_stack[-1] = (name, bdepth,
-                               stripped.startswith("public:"))
-        # Method extraction happens before brace tracking so one-line
-        # inline bodies are seen at class depth.
-        at_class_depth = (class_stack
-                          and depth == class_stack[-1][1] + 1
-                          and class_stack[-1][0] is not None
-                          and class_stack[-1][2])
-        at_ns_depth = not class_stack and depth <= 1
-        if (at_class_depth or at_ns_depth) \
-                and not stripped.startswith(("#", ":", ",", ")")):
-            mm = METHOD_NAME_RE.search(line)
-            if mm:
-                name = mm.group(1)
-                if (name not in CPP_KEYWORDS
-                        and not MACROISH_RE.match(name)):
-                    key = class_stack[-1][0] if at_class_depth else "<free>"
-                    api.setdefault(key, set()).add(name)
-        for c in line:
-            if c == "{":
-                if pending:
-                    kind, name = pending
-                    top_level = depth <= 1
-                    class_stack.append(
-                        (name if top_level else None, depth,
-                         kind == "struct"))
-                    pending = None
-                else:
-                    # Any other brace (function body, namespace, enum):
-                    # track anonymous scope when inside a class so
-                    # nested depths don't count as class depth.
-                    pass
-                depth += 1
-            elif c == "}":
-                depth -= 1
-                if class_stack and depth == class_stack[-1][1]:
-                    class_stack.pop()
-        if pending and stripped.endswith(";"):
-            pending = None
-    return api
-
-
-def check_stub_parity(sf: SourceFile, findings: list[Finding]) -> None:
-    rule = "stub-parity"
-    if not sf.path.endswith((".hpp", ".h", ".hh")):
-        return  # .cpp bodies are legitimately real-branch-only
-    branches = split_telemetry_branches(sf)
-    if branches is None:
-        return
-    real_api = extract_api(branches[0])
-    stub_api = extract_api(branches[1])
-    if sf.allowed(0, rule) or sf.allowed(1, rule):
-        return
-
-    def report(msg: str) -> None:
-        findings.append(Finding(sf.path, 1, rule, msg, sf.raw_lines[0]))
-
-    for cls in sorted(set(real_api) | set(stub_api)):
-        r = real_api.get(cls)
-        s = stub_api.get(cls)
-        if r is None or s is None:
-            which = "stub" if s is None else "real"
-            report(f"`{cls}` is declared in only one branch (missing "
-                   f"from the {which} FASTJOIN_NO_TELEMETRY branch)")
-            continue
-        for name in sorted(r - s):
-            report(f"`{cls}::{name}` exists in the real branch but not "
-                   f"in the FASTJOIN_NO_TELEMETRY stub")
-        for name in sorted(s - r):
-            report(f"`{cls}::{name}` exists in the FASTJOIN_NO_TELEMETRY "
-                   f"stub but not in the real branch")
-
-
-# ---------------------------------------------------------------------------
 # Rule: banned-api
 # ---------------------------------------------------------------------------
 
@@ -1067,14 +934,17 @@ def reached_sources(src_dir: str, roots: list[str]) -> set[str]:
     return seen
 
 
+def scanned_src_dirs(paths: list[str]) -> list[str]:
+    """Real paths of the scanned directories named `src`."""
+    return [os.path.realpath(p) for p in paths
+            if os.path.isdir(p)
+            and os.path.basename(os.path.normpath(p)) == "src"]
+
+
 def check_dead_source(paths: list[str], files: list[SourceFile],
                       findings: list[Finding]) -> None:
     rule = "dead-source"
-    for scanned in paths:
-        if not os.path.isdir(scanned) or \
-                os.path.basename(os.path.normpath(scanned)) != "src":
-            continue
-        src_dir = os.path.realpath(scanned)
+    for src_dir in scanned_src_dirs(paths):
         parent = os.path.dirname(src_dir)
         roots = [os.path.join(parent, r) for r in PROGRAM_ROOTS
                  if os.path.isdir(os.path.join(parent, r))]
@@ -1094,6 +964,97 @@ def check_dead_source(paths: list[str], files: list[SourceFile],
                 "through other src/ files. Delete the module and its "
                 "tests, or allow() it on this line with the reason",
                 sf.raw_lines[0] if sf.raw_lines else ""))
+
+
+# ---------------------------------------------------------------------------
+# Rule: metric-catalog
+# ---------------------------------------------------------------------------
+
+CATALOG_DOC = os.path.join("docs", "observability.md")
+CATALOG_HEADING = "## Metric catalog"
+# Matched on comment/string-stripped code; the name is then read from
+# the raw text at the same offset (stripping preserves columns).
+METRIC_CALL_RE = re.compile(r"(?:\.|->)\s*(counter|gauge|histogram)\s*\(")
+METRIC_LITERAL_RE = re.compile(r'\s*"([^"\\]*)"\s*[,)]')
+METRIC_SUFFIX_RE = re.compile(
+    r'\s*[A-Za-z_][\w.]*\s*\+\s*"([^"\\]*)"\s*[,)]')
+BACKTICKED_RE = re.compile(r"`([^`]+)`")
+
+
+def metric_registrations(sf: SourceFile):
+    """(line index, kind, name, is_suffix) per registry call in `sf`;
+    name is None when it is neither a literal nor `<expr> + "suffix"`."""
+    code = "\n".join(sf.code_lines)
+    raw = "\n".join(sf.raw_lines)
+    for m in METRIC_CALL_RE.finditer(code):
+        idx = code.count("\n", 0, m.start())
+        lit = METRIC_LITERAL_RE.match(raw, m.end())
+        suf = None if lit else METRIC_SUFFIX_RE.match(raw, m.end())
+        name = lit.group(1) if lit else suf.group(1) if suf else None
+        yield idx, m.group(1), name, suf is not None
+
+
+def catalog_rows(doc: str) -> list[tuple[int, str, str]]:
+    """(line, name, raw line) for each backticked name in the first
+    cell of a table row under the catalog heading."""
+    rows = []
+    in_catalog = False
+    with open(doc, encoding="utf-8", errors="replace") as f:
+        for no, line in enumerate(f, 1):
+            if line.startswith("## "):
+                in_catalog = line.strip() == CATALOG_HEADING
+            elif in_catalog and line.startswith("|"):
+                for name in BACKTICKED_RE.findall(line.split("|")[1]):
+                    rows.append((no, name, line))
+    return rows
+
+
+def placeholder_suffix(name: str) -> str | None:
+    """`server.tenant.<t>.query_ns` -> `.query_ns`; None for a fixed
+    name."""
+    return name[name.rindex(">") + 1:] if "<" in name else None
+
+
+def check_metric_catalog(paths: list[str], files: list[SourceFile],
+                         findings: list[Finding]) -> None:
+    rule = "metric-catalog"
+    for src_dir in scanned_src_dirs(paths):
+        doc = os.path.join(os.path.dirname(src_dir), CATALOG_DOC)
+        if not os.path.isfile(doc):
+            continue
+        rows = catalog_rows(doc)
+        fixed = {n for _, n, _ in rows if placeholder_suffix(n) is None}
+        suffixes = {placeholder_suffix(n) for _, n, _ in rows} - {None}
+        used_names: set[str] = set()
+        used_suffixes: set[str] = set()
+        for sf in files:
+            if not os.path.realpath(sf.path).startswith(src_dir + os.sep):
+                continue
+            for idx, kind, name, is_suffix in metric_registrations(sf):
+                (used_suffixes if is_suffix else used_names).add(name)
+                if name is None:
+                    msg = (f"{kind} name is neither a string literal nor "
+                           '`<expr> + ".suffix"`, so the metric catalog '
+                           "cannot check it")
+                elif is_suffix and name not in suffixes:
+                    msg = (f'run-time {kind} name `<expr> + "{name}"` '
+                           f"has no placeholder row ending in `{name}` "
+                           f"in {CATALOG_DOC}")
+                elif not is_suffix and name not in fixed:
+                    msg = f"{kind} `{name}` has no row in {CATALOG_DOC}"
+                else:
+                    continue
+                if not sf.allowed(idx, rule):
+                    findings.append(Finding(sf.path, idx + 1, rule, msg,
+                                            sf.raw_lines[idx]))
+        for no, name, line in rows:
+            suffix = placeholder_suffix(name)
+            if suffix is None and name not in used_names or \
+                    suffix is not None and suffix not in used_suffixes:
+                findings.append(Finding(
+                    doc, no, rule,
+                    f"catalog row `{name}` names no metric registered "
+                    "under src/: drop the row or fix the name", line))
 
 
 # ---------------------------------------------------------------------------
@@ -1122,7 +1083,6 @@ def run(paths: list[str], fuzz_dir: str | None = None) -> list[Finding]:
     for sf in files:
         check_atomic_order(sf, atomic_scopes[sf.path], findings)
         check_hot_path(sf, findings)
-        check_stub_parity(sf, findings)
         check_banned_api(sf, findings)
         check_protocol_clock(sf, findings)
         check_net_socket(sf, findings)
@@ -1130,6 +1090,7 @@ def run(paths: list[str], fuzz_dir: str | None = None) -> list[Finding]:
         check_atomic_padding(sf, findings)
     check_decode_parity(files, fuzz_dir, findings)
     check_dead_source(paths, files, findings)
+    check_metric_catalog(paths, files, findings)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
 

@@ -14,7 +14,7 @@ namespace {
 /// Records per read() refill; bounds stack/heap churn on big scans.
 constexpr std::size_t kReadChunk = 256;
 
-/// Cached registry handles (no-ops under FASTJOIN_NO_TELEMETRY).
+/// Cached registry handles.
 struct IngestMetrics {
   tel::Counter& appended;
   tel::Counter& backpressure;
@@ -153,38 +153,11 @@ std::size_t StreamLog::unflushed_locked(const Partition& p) const {
                             : p.segments.back().file->unflushed_bytes();
 }
 
-std::optional<std::uint64_t> StreamLog::try_append(std::uint32_t partition,
-                                                   const Record& rec,
-                                                   InstanceId store_dst,
-                                                   InstanceId probe_dst) {
-  Partition& p = *parts_[partition];
-  MutexLock lock(p.mu);
-  if (unflushed_locked(p) + kLogRecordBytes > cfg_.max_unflushed_bytes) {
-    backpressure_hits_.fetch_add(1, std::memory_order_relaxed);
-    ingest_metrics().backpressure.add(1);
-    tel::flight_record(tel::FlightEvent::kIngestBackpressure, partition);
-    return std::nullopt;
-  }
-  SegmentFile& seg = writable_segment(partition, p);
-  std::byte buf[kLogRecordBytes];
-  encode_log_record(LogRecord{rec, store_dst, probe_dst, 0}, buf);
-  seg.append(buf, kLogRecordBytes);
-  appended_records_.fetch_add(1, std::memory_order_relaxed);
-  appended_bytes_.fetch_add(kLogRecordBytes, std::memory_order_relaxed);
-  ingest_metrics().appended.add(1);
-  tel::flight_record(tel::FlightEvent::kIngestAppend, partition, 1);
-  return p.next_offset++;
-}
-
 std::uint64_t StreamLog::append(std::uint32_t partition, const Record& rec,
                                 InstanceId store_dst,
                                 InstanceId probe_dst) {
-  for (;;) {
-    if (auto off = try_append(partition, rec, store_dst, probe_dst)) {
-      return *off;
-    }
-    flush(partition);
-  }
+  const LogRecord lr{rec, store_dst, probe_dst, 0};
+  return append_batch(partition, &lr, 1);
 }
 
 std::uint64_t StreamLog::append_batch(std::uint32_t partition,

@@ -11,10 +11,10 @@
 //    but never renumbers. An (offset, partition) pair is therefore a
 //    stable name for a record, which is what worker checkpoints record
 //    and what crash recovery replays from.
-//  * Backpressure instead of silent loss: try_append() refuses (and
-//    counts) once a partition's unflushed bytes exceed
-//    IngestConfig::max_unflushed_bytes; append() flushes and retries,
-//    turning the bound into producer-side admission control.
+//  * Backpressure instead of unbounded buffering: an append that would
+//    take a partition past IngestConfig::max_unflushed_bytes flushes
+//    it in place first (and counts the hit), so the appender pays for
+//    the flush — producer-side admission control.
 //  * Retention: truncate_before() drops whole expired segments below a
 //    safe offset (the engine uses the minimum checkpointed offset
 //    across workers — everything below it can never be replayed).
@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,8 +52,8 @@ struct IngestConfig {
   std::uint32_t partitions = 1;
   /// Capacity of one segment in bytes (rounded up to one record).
   std::size_t segment_bytes = 256 * 1024;
-  /// Backpressure bound: a partition with more than this many unflushed
-  /// bytes refuses try_append() until flushed.
+  /// Backpressure bound: an append that would leave more than this
+  /// many unflushed bytes in a partition flushes it first.
   std::size_t max_unflushed_bytes = 4 * 1024 * 1024;
   SegmentBackend backend = SegmentBackend::kMemory;
   /// Directory for segment files (kFile only); created if missing.
@@ -65,7 +64,7 @@ struct IngestConfig {
 struct StreamLogStats {
   std::uint64_t appended_records = 0;
   std::uint64_t appended_bytes = 0;
-  std::uint64_t backpressure_hits = 0;  ///< try_append refusals
+  std::uint64_t backpressure_hits = 0;  ///< appends that flushed first
   std::uint64_t flushes = 0;
   std::uint64_t segments_rolled = 0;    ///< segments created beyond the first
   std::uint64_t segments_truncated = 0;
@@ -87,26 +86,18 @@ class StreamLog {
   }
   const IngestConfig& config() const { return cfg_; }
 
-  /// Append with admission control: returns the record's offset, or
-  /// nullopt when the partition is over its unflushed-bytes bound (the
-  /// caller should flush — or call append(), which does).
-  std::optional<std::uint64_t> try_append(std::uint32_t partition,
-                                          const Record& rec,
-                                          InstanceId store_dst,
-                                          InstanceId probe_dst);
-
-  /// Append, flushing the partition to make room when backpressured.
-  /// Always succeeds; returns the record's offset.
+  /// Append one record: append_batch() with a run of one. Always
+  /// succeeds; returns the record's offset.
   std::uint64_t append(std::uint32_t partition, const Record& rec,
                        InstanceId store_dst = kUnroutedDst,
                        InstanceId probe_dst = kUnroutedDst);
 
   /// Append a run of records under ONE lock acquisition: recs[i] gets
-  /// offset `return + i`. Same admission control as append() — when the
-  /// unflushed bound is hit mid-run the partition is flushed in place
-  /// (counted as a backpressure hit) and the run continues. The hot
-  /// path for the engine's per-producer batches: one lock and one
-  /// backend write per chunk instead of per record.
+  /// offset `return + i`. When the unflushed bound is hit mid-run the
+  /// partition is flushed in place (counted as a backpressure hit) and
+  /// the run continues. The hot path for the engine's per-producer
+  /// batches: one lock and one backend write per chunk instead of per
+  /// record.
   std::uint64_t append_batch(std::uint32_t partition,
                              const LogRecord* recs, std::size_t n);
 

@@ -24,8 +24,7 @@ namespace tel = telemetry;
 
 namespace {
 /// Cached handles into the global MetricRegistry: resolved once (first
-/// use), then updated lock-free on the hot path. With
-/// FASTJOIN_NO_TELEMETRY every call below is an inline no-op.
+/// use), then updated lock-free on the hot path.
 struct LiveMetrics {
   tel::Counter& records_in;
   tel::Counter& batches;

@@ -19,8 +19,6 @@ inline std::uint64_t now_ns() {
           .count());
 }
 
-#ifndef FASTJOIN_NO_TELEMETRY
-
 /// Small dense id for the calling thread (0, 1, 2, ... in first-use
 /// order). Shards counters and keys flight-recorder rings / trace tids.
 std::uint32_t thread_index();
@@ -29,12 +27,5 @@ std::uint32_t thread_index();
 /// and traces (e.g. "monitor", "worker-R3"). Keeps the first
 /// kLabelBytes-1 characters.
 void set_thread_label(const char* label);
-
-#else  // FASTJOIN_NO_TELEMETRY
-
-inline std::uint32_t thread_index() { return 0; }
-inline void set_thread_label(const char*) {}
-
-#endif  // FASTJOIN_NO_TELEMETRY
 
 }  // namespace fastjoin::telemetry

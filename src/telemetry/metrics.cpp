@@ -1,5 +1,3 @@
-#ifndef FASTJOIN_NO_TELEMETRY
-
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
@@ -192,5 +190,3 @@ MetricRegistry& MetricRegistry::global() {
 }
 
 }  // namespace fastjoin::telemetry
-
-#endif  // FASTJOIN_NO_TELEMETRY

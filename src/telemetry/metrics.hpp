@@ -14,27 +14,20 @@
 //    sites resolve once and cache the reference), snapshots them, and
 //    on sample() appends every metric's current value to a per-metric
 //    TimeSeries (called periodically from the engine monitor thread).
-//
-// With FASTJOIN_NO_TELEMETRY defined every type below becomes an
-// inline no-op of identical shape.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <deque>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/histogram.hpp"
-#include "common/timeseries.hpp"
-
-#ifndef FASTJOIN_NO_TELEMETRY
-
-#include <atomic>
-#include <deque>
-#include <memory>
-
 #include "common/mutex.hpp"
 #include "common/thread_safety.hpp"
+#include "common/timeseries.hpp"
 #include "telemetry/clock.hpp"
 
 namespace fastjoin::telemetry {
@@ -196,75 +189,3 @@ class MetricRegistry {
 
 }  // namespace fastjoin::telemetry
 
-#else  // FASTJOIN_NO_TELEMETRY ------------------------------------------
-
-namespace fastjoin::telemetry {
-
-class Counter {
- public:
-  void add(std::uint64_t = 1) {}
-  std::uint64_t value() const { return 0; }
-};
-
-class Gauge {
- public:
-  void set(double) {}
-  void add(double) {}
-  double value() const { return 0.0; }
-};
-
-class ConcurrentHistogram {
- public:
-  explicit ConcurrentHistogram(const HistogramParams& = {}) {}
-  void record(double, std::uint64_t = 1) {}
-  std::uint64_t count() const { return 0; }
-  HistogramSnapshot snapshot() const { return HistogramSnapshot{}; }
-  const HistogramParams& params() const {
-    static const HistogramParams p{};
-    return p;
-  }
-};
-
-struct MetricValue {
-  std::string name;
-  double value = 0.0;
-};
-struct HistogramValue {
-  std::string name;
-  HistogramSnapshot snapshot;
-};
-struct MetricsSnapshot {
-  std::uint64_t at_ns = 0;
-  std::vector<MetricValue> counters;
-  std::vector<MetricValue> gauges;
-  std::vector<HistogramValue> histograms;
-  std::string to_json() const { return "{}"; }
-};
-
-class MetricRegistry {
- public:
-  Counter& counter(std::string_view) { return counter_; }
-  Gauge& gauge(std::string_view) { return gauge_; }
-  ConcurrentHistogram& histogram(std::string_view,
-                                 const HistogramParams& = {}) {
-    return histogram_;
-  }
-  MetricsSnapshot snapshot() const { return {}; }
-  void sample(std::uint64_t = 0) {}
-  const TimeSeries* series(std::string_view) const { return nullptr; }
-  void reset_series() {}
-  static constexpr std::size_t kMaxSeriesPoints = 0;
-  static MetricRegistry& global() {
-    static MetricRegistry r;
-    return r;
-  }
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  ConcurrentHistogram histogram_;
-};
-
-}  // namespace fastjoin::telemetry
-
-#endif  // FASTJOIN_NO_TELEMETRY

@@ -16,11 +16,11 @@
 //    migration abort, or test failure so chaos regressions are
 //    diagnosable from the artifact alone.
 //
-// Compile-time kill switch: building with -DFASTJOIN_NO_TELEMETRY
-// (CMake option of the same name) replaces every API below with inline
-// no-op stubs of identical shape, so call sites compile unchanged and
-// the instrumentation costs literally nothing. bench/telemetry_overhead
-// proves the *enabled* cost is <= 3% against that build.
+// Always compiled in: the live engine's monitor samples the registry
+// every tick and perfbench's mp_hotkeys query is a registry scrape.
+// The hot path stays cheap by the rules in
+// docs/observability.md ("Overhead discipline"): per-batch counters,
+// 1-in-64 latency sampling, and spans only for structural events.
 #pragma once
 
 #include "telemetry/clock.hpp"           // IWYU pragma: export

@@ -1,5 +1,3 @@
-#ifndef FASTJOIN_NO_TELEMETRY
-
 #include "telemetry/trace.hpp"
 
 #include <fstream>
@@ -135,5 +133,3 @@ TraceLog& TraceLog::global() {
 }
 
 }  // namespace fastjoin::telemetry
-
-#endif  // FASTJOIN_NO_TELEMETRY

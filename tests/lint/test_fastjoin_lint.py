@@ -85,10 +85,6 @@ def main():
            exact_lines=[10])
     expect("hot_path_allowed.cpp", "hot-path-blocking", 0)
 
-    # --- stub-parity ------------------------------------------------
-    expect("stub_parity_bad.hpp", "stub-parity", 2)
-    expect("stub_parity_good.hpp", "stub-parity", 0)
-
     # --- banned-api -------------------------------------------------
     expect("banned_bad.cpp", "banned-api", 4)
     expect("banned_allowed.cpp", "banned-api", 0)
@@ -177,6 +173,23 @@ def main():
         code, findings, log = run_lint(lone)
         check("dead-source: no program root, no findings (exit 0)",
               code == 0 and not findings, log)
+
+    # --- metric-catalog ---------------------------------------------
+    # Each src/ tree has a sibling docs/observability.md. In the clean
+    # one every registration has a row and every row a registration
+    # (two names in one row, a run-time name against its placeholder
+    # row, an allow()). The bad one has an unlisted name, a run-time
+    # suffix with no placeholder row, a name in neither form, a stale
+    # row and a stale placeholder row. Without the doc (dead_source/src
+    # above) the rule stays silent.
+    expect("metric_catalog/good/src", "metric-catalog", 0)
+    expect("metric_catalog/bad/src", "metric-catalog", 5)
+    _, mf, _ = run_lint(fixture("metric_catalog/bad/src"))
+    want = [("metrics.cpp", 8), ("metrics.cpp", 11), ("metrics.cpp", 12),
+            ("observability.md", 8), ("observability.md", 10)]
+    check("metric-catalog: findings on both sides of the catalog",
+          sorted((os.path.basename(f["path"]), f["line"])
+                 for f in mf) == want, json.dumps(mf, indent=2))
 
     # --- baseline machinery -----------------------------------------
     with tempfile.TemporaryDirectory() as td:

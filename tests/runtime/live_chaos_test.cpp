@@ -5,17 +5,21 @@
 // checkpoints, and (d) never deadlock the monitor thread.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <mutex>
+#include <sstream>
 #include <thread>
 #include <unordered_set>
 
 #include "runtime/live_engine.hpp"
 
 #include "datagen/keygen.hpp"
-#include "telemetry/metrics.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace fastjoin {
 namespace {
@@ -31,23 +35,14 @@ std::uint64_t recoveries_now() {
 /// Wait (bounded) until the supervisor has logged `want` respawns past
 /// `before`. A fixed post-crash sleep is a race under sanitizer
 /// slowdown: the 2ms-period monitor may not get scheduled, let alone
-/// finish the store rebuild, before finish() closes the feed. With
-/// FASTJOIN_NO_TELEMETRY the stub counter reads 0 forever, so fall
-/// back to a fixed 100ms grace sleep — generous at native speed, and
-/// the notel leg does not run under sanitizers.
+/// finish the store rebuild, before finish() closes the feed.
 void wait_for_recoveries(std::uint64_t before, std::uint64_t want = 1) {
-#ifdef FASTJOIN_NO_TELEMETRY
-  (void)before;
-  (void)want;
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-#else
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (std::chrono::steady_clock::now() < deadline) {
     if (recoveries_now() >= before + want) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-#endif
   // Let the respawned worker re-enter its drain loop before the caller
   // proceeds (the counter ticks when the respawn is published).
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -220,8 +215,12 @@ void run_phase_crash(MigrationPhase phase, bool crash_src,
 
   LiveEngine* eng = nullptr;
   std::atomic<bool> fired{false};
+  // When the hook last fired at any phase: a migration still working
+  // through the protocol keeps the wait below alive.
+  std::atomic<std::uint64_t> last_hook_ns{0};
   cfg.chaos = [&](Side group, InstanceId src, InstanceId dst,
                   MigrationPhase at) {
+    last_hook_ns.store(telemetry::now_ns(), std::memory_order_relaxed);
     // Firings after finish() began inject nothing (crash() is a no-op
     // then), so they must not satisfy the wait loop below.
     if (at != phase || !eng->running()) return;
@@ -242,7 +241,15 @@ void run_phase_crash(MigrationPhase phase, bool crash_src,
   for (const auto& rec : trace) engine.push(rec);
   // Keep the engine alive until the targeted phase actually fires (the
   // monitor needs a few ticks of load statistics before it migrates).
-  for (int i = 0; i < 1'000 && !fired.load(); ++i) {
+  // Under sanitizers one protocol step can take seconds, so give up
+  // only after 5 s without any hook firing, or after 60 s in all.
+  constexpr std::uint64_t kIdleNs = 5'000'000'000, kCapNs = 60'000'000'000;
+  const std::uint64_t wait_start = telemetry::now_ns();
+  while (!fired.load()) {
+    const std::uint64_t now = telemetry::now_ns();
+    const std::uint64_t last = std::max(
+        wait_start, last_hook_ns.load(std::memory_order_relaxed));
+    if (now - wait_start >= kCapNs || now - last >= kIdleNs) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   // Give the supervisor time to abort the migration and respawn.
@@ -751,6 +758,92 @@ TEST(LiveChaos, SurvivesRepeatedRandomCrashes) {
   EXPECT_GE(stats.recoveries, stats.crashes - 1);
   EXPECT_EQ(log.duplicates(), 0u);
   EXPECT_LE(log.unique(), expected_pairs(trace));
+}
+
+// The exported telemetry of one chaos run: a skewed two-producer feed
+// with the balancer, checkpoints and the log on, and one crash
+// mid-feed, must leave every migration and recovery span in the Chrome
+// trace and control-plane events in the flight recorder.
+TEST(LiveTelemetry, MigrationAndRecoverySpansAreExported) {
+  auto& reg = telemetry::MetricRegistry::global();
+  auto& spans = telemetry::TraceLog::global();
+  spans.clear();  // the export holds only this run
+  auto& migrations = reg.counter("live.migrations");
+  auto& checkpoints = reg.counter("live.checkpoints");
+  const std::uint64_t migrations0 = migrations.value();
+  const std::uint64_t checkpoints0 = checkpoints.value();
+  const std::uint64_t recoveries0 = recoveries_now();
+
+  LiveConfig cfg;
+  cfg.instances = 4;
+  cfg.balancer = true;
+  cfg.monitor_period = std::chrono::milliseconds(10);
+  cfg.min_heaviest_load = 50.0;  // migrate eagerly on the skewed feed
+  cfg.checkpoint_period = std::chrono::milliseconds(30);
+  cfg.ingest.enabled = true;
+  LiveEngine engine(cfg);
+  engine.start();
+
+  // Disjoint keyspaces per producer: key and ts interleave as k*2 + p.
+  constexpr int kProducers = 2;
+  std::vector<std::vector<Record>> traces;
+  for (int p = 0; p < kProducers; ++p) {
+    traces.push_back(make_trace(40 + p, 30'000, 400, 1.2));
+    for (auto& rec : traces.back()) {
+      rec.key = rec.key * kProducers + p;
+      rec.ts = rec.ts * kProducers + p;
+    }
+  }
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&engine, &trace = traces[p], saboteur = p == 0] {
+      const int id = engine.register_producer();
+      constexpr std::size_t kBatch = 256;
+      const std::size_t crash_at = trace.size() / 2 / kBatch * kBatch;
+      for (std::size_t i = 0; i < trace.size(); i += kBatch) {
+        if (saboteur && i == crash_at) engine.crash(Side::kR, 0);
+        engine.push_batch(trace.data() + i,
+                          std::min(kBatch, trace.size() - i), id);
+        if (i % (kBatch * 16) == 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  // The monitor keeps migrating on the stored imbalance after the feed
+  // ends; wait for a completed migration, a checkpoint round and the
+  // respawn.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (std::chrono::steady_clock::now() < deadline &&
+         (migrations.value() == migrations0 ||
+          checkpoints.value() == checkpoints0 ||
+          recoveries_now() == recoveries0)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const LiveStats stats = engine.finish();
+  ASSERT_GE(stats.migrations, 1u);
+  ASSERT_GE(stats.checkpoints, 1u);
+  ASSERT_GE(stats.recoveries, 1u);
+
+  std::ostringstream trace;
+  spans.write_chrome_trace(trace);
+  for (const char* name :
+       {"migrate", "extract", "hold", "hold_ack", "route_publish",
+        "transfer", "checkpoint", "respawn", "replay"}) {
+    EXPECT_NE(trace.str().find(std::string("\"name\": \"") + name + "\""),
+              std::string::npos)
+        << "no \"" << name << "\" span in the exported trace";
+  }
+
+  const std::string path = ::testing::TempDir() + "live_telemetry.dump";
+  ASSERT_TRUE(telemetry::flight_dump(path));
+  std::ifstream in(path);
+  std::stringstream dump;
+  dump << in.rdbuf();
+  EXPECT_NE(dump.str().find(" ctrl_"), std::string::npos) << dump.str();
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -11,28 +11,6 @@
 namespace fastjoin::telemetry {
 namespace {
 
-#ifdef FASTJOIN_NO_TELEMETRY
-
-// The compiled-out build must keep the exact API shape as inert stubs.
-TEST(TelemetryStubs, MetricsCompileToNoOps) {
-  Counter c;
-  c.add(42);
-  EXPECT_EQ(c.value(), 0u);
-  Gauge g;
-  g.set(1.0);
-  EXPECT_EQ(g.value(), 0.0);
-  ConcurrentHistogram h;
-  h.record(5.0);
-  EXPECT_EQ(h.count(), 0u);
-  MetricRegistry reg;
-  reg.counter("x").add();
-  reg.sample();
-  EXPECT_EQ(reg.series("x"), nullptr);
-  EXPECT_EQ(reg.snapshot().to_json(), "{}");
-}
-
-#else  // telemetry enabled ----------------------------------------------
-
 TEST(Counter, SingleThreadedExact) {
   Counter c;
   EXPECT_EQ(c.value(), 0u);
@@ -236,8 +214,6 @@ TEST(MetricRegistry, ConcurrentRegistrationAndUpdates) {
 TEST(MetricRegistry, GlobalIsASingleton) {
   EXPECT_EQ(&MetricRegistry::global(), &MetricRegistry::global());
 }
-
-#endif  // FASTJOIN_NO_TELEMETRY
 
 }  // namespace
 }  // namespace fastjoin::telemetry

@@ -10,24 +10,6 @@
 namespace fastjoin::telemetry {
 namespace {
 
-#ifdef FASTJOIN_NO_TELEMETRY
-
-TEST(TelemetryStubs, TracingCompilesToNoOps) {
-  TraceLog& log = TraceLog::global();
-  const auto h = log.begin("a", "b");
-  EXPECT_EQ(h, TraceLog::kInvalid);
-  log.arg(h, "k", 1);
-  log.end(h);
-  log.instant("i", "c");
-  EXPECT_EQ(log.size(), 0u);
-  { ScopedSpan span("a", "b"); }
-  std::ostringstream os;
-  log.write_chrome_trace(os);
-  EXPECT_TRUE(os.str().empty());
-}
-
-#else  // telemetry enabled ----------------------------------------------
-
 TEST(TraceLog, BeginEndProducesClosedSpan) {
   TraceLog log;
   const auto h = log.begin("migrate", "migration");
@@ -140,8 +122,6 @@ TEST(TraceLog, ConcurrentSpansAreAllRecorded) {
   for (auto& w : writers) w.join();
   EXPECT_EQ(log.size(), kThreads * kPerThread);
 }
-
-#endif  // FASTJOIN_NO_TELEMETRY
 
 }  // namespace
 }  // namespace fastjoin::telemetry
