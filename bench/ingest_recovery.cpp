@@ -306,9 +306,10 @@ int run(int argc, char** argv) {
   workload << "records=" << total << " instances=" << kInstances
            << " producers=" << kProducers << " zipf={0.8,1.2}"
            << " crash_every=" << total / 24;
+  const std::string meta = json_meta(workload.str());
   std::ofstream json("BENCH_ingest_recovery.json");
   json << "{\n  \"bench\": \"ingest_recovery\",\n  "
-       << json_meta(workload.str()) << ",\n"
+       << meta << ",\n"
        << "  \"records_per_run\": " << total << ",\n"
        << "  \"steady_state_results_identical\": "
        << (steady_agree ? "true" : "false") << ",\n"

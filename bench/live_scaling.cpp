@@ -358,9 +358,10 @@ int run(int argc, char** argv) {
   std::ostringstream workload;
   workload << "records=" << total << " reps=" << reps
            << " producers={1,2,4} workers={2,4,8} zipf={0.8,1.2}";
+  const std::string meta = json_meta(workload.str());
   std::ofstream json("BENCH_live_scaling.json");
   json << "{\n  \"bench\": \"live_scaling\",\n  "
-       << json_meta(workload.str()) << ",\n"
+       << meta << ",\n"
        << "  \"records_per_run\": " << total << ",\n"
        << "  \"cores\": " << cores << ",\n"
        << "  \"results_identical\": "

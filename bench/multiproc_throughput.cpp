@@ -214,9 +214,10 @@ int run(int argc, char** argv) {
   std::ostringstream workload;
   workload << "records=" << total
            << " workers={1,2,4,8} keys=400 zipf=1.1 checkpoint_every=5000";
+  const std::string meta = json_meta(workload.str());
   std::ofstream json("BENCH_multiproc_throughput.json");
   json << "{\n  \"bench\": \"multiproc_throughput\",\n  "
-       << json_meta(workload.str()) << ",\n"
+       << meta << ",\n"
        << "  \"records_per_run\": " << total << ",\n"
        << "  \"cores\": " << cores << ",\n"
        << "  \"match_counts_identical\": "

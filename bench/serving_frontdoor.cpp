@@ -317,9 +317,10 @@ int run(int argc, char** argv) {
   workload << "records_per_tenant=" << records << " batch=" << batch
            << " tenants={1,2,4}+abuse workers=2 keys=400"
            << " checkpoint_every=5000";
+  const std::string meta = json_meta(workload.str());
   std::ofstream json("BENCH_serving_frontdoor.json");
   json << "{\n  \"bench\": \"serving_frontdoor\",\n  "
-       << json_meta(workload.str()) << ",\n"
+       << meta << ",\n"
        << "  \"records_per_tenant\": " << records << ",\n"
        << "  \"batch\": " << batch << ",\n"
        << "  \"cells\": [\n"

@@ -39,6 +39,8 @@ double improvement_pct(double a, double b);
 /// matches the SHA baked in at CMake configure time (stale build). Set
 /// FASTJOIN_ALLOW_DIRTY=1 to override during development; the stamp is
 /// then suffixed "+dirty" so the JSON cannot masquerade as clean.
+/// Call it before opening the output file: a refused run must leave an
+/// existing BENCH_*.json as it was, not truncated.
 std::string json_meta(const std::string& workload);
 
 }  // namespace fastjoin::bench
